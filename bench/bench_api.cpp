@@ -1,6 +1,7 @@
 /// End-to-end throughput of the networked query/ingest API (src/api):
-/// fits the pipeline on a history corpus, brings the fitted state up
-/// behind api::Server (TCP, newline-delimited JSON), then measures
+/// fits the pipeline on a history corpus, brings the fitted state up on a
+/// one-shard shard::ShardRouter behind api::Server (TCP, newline-delimited
+/// JSON), then measures
 ///
 ///   ingest/s   one client connection streaming the held-out papers in
 ///              batches of --batch (Frontend::SubmitBatch under the
@@ -35,7 +36,7 @@
 #include "api/server.h"
 #include "bench_common.h"
 #include "core/pipeline.h"
-#include "serve/ingest_service.h"
+#include "shard/shard_router.h"
 #include "util/json_writer.h"
 #include "util/memory.h"
 #include "util/stopwatch.h"
@@ -144,7 +145,7 @@ int main(int argc, char** argv) {
     data::PaperDatabase db = history;
     auto result = core::IuadPipeline(cfg).Run(db);
     if (!result.ok()) return 1;
-    serve::IngestService service(&db, &*result, cfg);
+    shard::ShardRouter service(&db, &*result, cfg);
     std::vector<std::future<serve::Frontend::Assignments>> futures;
     Stopwatch sw;
     for (const auto& paper : stream) futures.push_back(service.Submit(paper));
@@ -163,7 +164,7 @@ int main(int argc, char** argv) {
 
   // API run: a fresh fitted state served over TCP.
   data::PaperDatabase db = history;
-  serve::IngestService service(&db, &*fitted, cfg);
+  shard::ShardRouter service(&db, &*fitted, cfg);
   api::ServerOptions options;
   options.port = 0;
   options.num_workers = clients + 1;

@@ -1,4 +1,5 @@
-/// Ingestion-throughput bench for the serve::IngestService (ROADMAP:
+/// Ingestion-throughput bench for one-shard serving through
+/// shard::ShardRouter (num_shards = 1, the CLI `serve` default; ROADMAP:
 /// batch/async ingestion for the incremental path). Fits the pipeline on a
 /// history corpus, holds out the most recent papers as the "newly
 /// published" stream (the Table VI protocol), then measures papers/second
@@ -6,8 +7,9 @@
 ///
 ///   sequential  IncrementalDisambiguator::AddPaper, one caller — the
 ///               paper's <50 ms/paper baseline shape;
-///   service@1   IngestService with one producer thread;
-///   service@N   IngestService with N producer threads (default: nproc).
+///   service@1   one-shard ShardRouter with one producer thread;
+///   service@N   one-shard ShardRouter with N producer threads (default:
+///               nproc).
 ///
 /// Producers partition the stream by index and pin each paper to its
 /// stream position with SubmitAt, so all three runs must produce identical
@@ -30,7 +32,7 @@
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "io/snapshot.h"
-#include "serve/ingest_service.h"
+#include "shard/shard_router.h"
 #include "util/json_writer.h"
 #include "util/memory.h"
 #include "util/stopwatch.h"
@@ -109,7 +111,8 @@ bool RunSequential(const data::PaperDatabase& history,
   return true;
 }
 
-/// Service run with `producers` threads partitioning the stream by index.
+/// One-shard router run with `producers` threads partitioning the stream by
+/// index.
 bool RunService(const data::PaperDatabase& history,
                 const std::string& snapshot_path,
                 const std::vector<data::Paper>& stream, int producers,
@@ -117,11 +120,13 @@ bool RunService(const data::PaperDatabase& history,
   data::PaperDatabase db = history;
   io::Snapshot snap;
   if (!ReloadFitted(snapshot_path, db, &snap)) return false;
-  std::vector<std::future<serve::IngestService::Assignments>> futures(
+  std::vector<std::future<shard::ShardRouter::Assignments>> futures(
       stream.size());
+  core::IuadConfig cfg = snap.config;
+  cfg.num_shards = 1;
   Stopwatch sw;
   {
-    serve::IngestService service(&db, &snap.result, snap.config);
+    shard::ShardRouter service(&db, &snap.result, cfg);
     std::atomic<size_t> next{0};
     auto producer = [&] {
       for (size_t i = next.fetch_add(1); i < stream.size();
@@ -171,7 +176,7 @@ int main(int argc, char** argv) {
   producers = util::ResolveNumThreads(producers);
 
   bench::PrintHeader("bench_ingest",
-                     "Sec. V-E serving throughput (IngestService)");
+                     "Sec. V-E serving throughput (1-shard ShardRouter)");
   auto corpus = bench::BenchCorpus(2021, papers);
   auto [history, stream] = corpus.db.HoldOutLatest(stream_size);
   std::printf("corpus: %d papers history, %zu-paper stream, %d producers\n",

@@ -1,14 +1,16 @@
 /// Durability-overhead bench for the WAL (DESIGN.md §9). Fits the pipeline
 /// on a history corpus, holds out the most recent papers as the stream
 /// (the Table VI protocol), then measures ingestion papers/second through
-/// serve::IngestService three ways over the SAME stream:
+/// a one-shard shard::ShardRouter three ways over the SAME stream:
 ///
 ///   wal_off           no --wal-dir: the throughput ceiling;
 ///   wal_batched       group commit at the defaults (fsync_every_n=64,
 ///                     fsync_interval_ms=5) — the shipping configuration,
 ///                     acceptance: <= 10% overhead vs wal_off;
-///   wal_every_record  fsync_every_n=1 — strict per-record durability, the
-///                     price of giving up group commit.
+///   wal_every_record  fsync_every_n=1 — the strictest cadence, the price
+///                     of giving up group commit. The router checks the
+///                     cadence once per pipelined window, so this is one
+///                     fsync per window (at most pipeline_depth records).
 ///
 /// All three runs must produce identical assignments — verified here, not
 /// assumed; the process aborts on any divergence, so a recorded data point
@@ -32,7 +34,7 @@
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "io/snapshot.h"
-#include "serve/ingest_service.h"
+#include "shard/shard_router.h"
 #include "util/json_writer.h"
 #include "util/memory.h"
 #include "util/stopwatch.h"
@@ -111,12 +113,14 @@ bool RunStream(const data::PaperDatabase& history,
     }
     log = std::move(*opened);
   }
-  std::vector<std::future<serve::IngestService::Assignments>> futures(
+  std::vector<std::future<shard::ShardRouter::Assignments>> futures(
       stream.size());
+  core::IuadConfig cfg = snap->config;
+  cfg.num_shards = 1;
   Stopwatch sw;
   serve::ServiceStats stats;
   {
-    serve::IngestService service(&db, &snap->result, snap->config, log.get());
+    shard::ShardRouter service(&db, &snap->result, cfg, log.get());
     for (size_t i = 0; i < stream.size(); ++i) {
       futures[i] = service.SubmitAt(i, stream[i]);
     }

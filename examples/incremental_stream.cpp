@@ -4,12 +4,12 @@
 /// receives new records continuously. No retraining happens; each
 /// occurrence is assigned by the fitted generative model's score.
 ///
-/// This example drives the redesigned serving surface: the stream goes
-/// through serve::Frontend — the one interface the IngestService, the
-/// sharded ShardRouter, and the networked query API (src/api) all share —
-/// as a single SubmitBatch call that reserves one contiguous sequence
-/// range for the whole batch, and the post-ingestion lookups use the
-/// frontend's published read views instead of poking the raw result.
+/// This example drives the serving surface: the stream goes through
+/// serve::Frontend — the one interface the ShardRouter (here at one shard)
+/// and the networked query API (src/api) share — as a single SubmitBatch
+/// call that reserves one contiguous sequence range for the whole batch,
+/// and the post-ingestion lookups use the frontend's published read views
+/// instead of poking the raw result.
 ///
 /// Build & run:  ./build/examples/incremental_stream
 
@@ -20,7 +20,7 @@
 #include "core/pipeline.h"
 #include "data/corpus_generator.h"
 #include "serve/frontend.h"
-#include "serve/ingest_service.h"
+#include "shard/shard_router.h"
 #include "util/stopwatch.h"
 
 using namespace iuad;
@@ -51,8 +51,9 @@ int main() {
   // Bring up the serving front end and ingest the whole stream as one
   // batch. The futures resolve in sequence order with exactly the
   // assignments sequential AddPaper calls would produce.
-  serve::IngestService service(&history, &*result, config);
-  serve::Frontend& frontend = service;
+  config.num_shards = 1;
+  shard::ShardRouter router(&history, &*result, config);
+  serve::Frontend& frontend = router;
   int joined = 0, founded = 0;
   iuad::Stopwatch sw;
   auto futures = frontend.SubmitBatch(stream);

@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Ingestion-throughput trajectory (ROADMAP: accumulate BENCH_*.json).
 # Runs bench_ingest: fits the pipeline on a history corpus, saves/reloads a
-# snapshot, then streams the held-out papers through serve::IngestService —
-# sequentially, with 1 producer, and with BENCH_PRODUCERS producers — and
+# snapshot, then streams the held-out papers sequentially and through a
+# one-shard shard::ShardRouter with 1 and with BENCH_PRODUCERS producers, and
 # writes BENCH_ingest.json with papers/s for each. The bench itself verifies
 # all three runs produce identical assignments and fails otherwise, so a
 # recorded data point is also a determinism check.

@@ -1,11 +1,12 @@
 #!/usr/bin/env bash
 # Durability-overhead trajectory (ROADMAP: accumulate BENCH_*.json).
 # Runs bench_wal: fits the pipeline on a history corpus, saves/reloads a
-# snapshot, then streams the held-out papers through serve::IngestService
-# three times over the same stream — WAL off, WAL with batched group-commit
-# fsync (the shipping defaults), and WAL with fsync-every-record — and
-# writes BENCH_wal.json with papers/s for each plus the batched-mode
-# overhead percentage (acceptance: <= 10% vs WAL off). The bench itself
+# snapshot, then streams the held-out papers through a one-shard
+# shard::ShardRouter three times over the same stream — WAL off, WAL with
+# batched group-commit fsync (the shipping defaults), and WAL with
+# fsync-every-record — and writes BENCH_wal.json with papers/s for each
+# plus the batched-mode overhead percentage (acceptance: <= 10% vs WAL
+# off). The bench itself
 # verifies all three runs produce identical assignments and fails
 # otherwise, so a recorded data point is also a determinism check.
 #

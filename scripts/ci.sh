@@ -9,9 +9,10 @@ cd "$(dirname "$0")/.."
 # build tree, so the regular ./build stays warm. Heavier and slower — run
 # them when touching memory layout, concurrency, or raw-byte io paths. The
 # TSan preset runs only the concurrent suites (the pipelined shard router,
-# the single-applier service, and the API server) rather than the whole
-# gate: that is where the thread schedules live, and TSan's ~10x slowdown on
-# the fit-heavy suites buys nothing.
+# which serves every shard count, its one-shard Frontend contract suite, and
+# the API server) rather than the whole gate: that is where the thread
+# schedules live, and TSan's ~10x slowdown on the fit-heavy suites buys
+# nothing.
 BUILD_DIR=build
 CMAKE_EXTRA=()
 TSAN_ONLY=0
@@ -50,7 +51,8 @@ cmake --build "$BUILD_DIR" -j "$(nproc)"
 
 # Snapshot persistence smoke: a pipeline run saved with --save-snapshot must
 # reload cleanly into the serving path and ingest a stream (end-to-end check
-# of src/io + src/serve through the CLI, beyond the unit suites).
+# of src/io + the one-shard ShardRouter through the CLI, beyond the unit
+# suites).
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "$SMOKE_DIR"' EXIT
 "./$BUILD_DIR"/iuad_main generate "$SMOKE_DIR/corpus.tsv" --papers 1500 --seed 5

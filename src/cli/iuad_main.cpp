@@ -23,12 +23,11 @@
 ///              [--wal-dir DIR] [--wal-fsync-every N] [--wal-fsync-ms M]
 ///              [--wal-checkpoint-every N]
 ///       Load a fitted snapshot next to the corpus it was saved against and
-///       bring up a serving front end behind the one serve::Frontend
-///       interface: the single-applier IngestService (src/serve) by
-///       default, or — with --shards S > 1 — the name-block-sharded
-///       ShardRouter (src/shard). With --stream, feed every paper of the
-///       stream TSV through the service from N concurrent producers
-///       (assignments are identical at any N and any S); with --name, look
+///       bring up the name-block-sharded ShardRouter (src/shard) behind the
+///       serve::Frontend interface, with --shards S name-block shards
+///       (default 1). With --stream, feed every paper of the stream TSV
+///       through the service from N concurrent producers (assignments are
+///       identical at any N and any S); with --name, look
 ///       the author up in the post-ingestion read view. --port P exposes
 ///       the network query/ingest API (src/api): a TCP listener speaking
 ///       newline-delimited JSON until SIGINT/SIGTERM; --stdio speaks the
@@ -93,7 +92,6 @@
 #include "graph/graph_io.h"
 #include "io/snapshot.h"
 #include "serve/frontend.h"
-#include "serve/ingest_service.h"
 #include "shard/shard_router.h"
 #include "util/stopwatch.h"
 #include "util/strings.h"
@@ -298,8 +296,8 @@ int CmdEvaluate(const std::string& in,
   return 0;
 }
 
-/// The one stats printer: the unified serve::ServiceStats covers every
-/// front end — the per-shard breakdown is simply empty when unsharded.
+/// The one stats printer for serve::ServiceStats, one line per shard
+/// included.
 /// Every key is spelled exactly as in the NDJSON stats payload
 /// (api/codec.h), so a grep written against either surface works on both.
 void PrintServiceStats(std::FILE* info, const serve::ServiceStats& stats) {
@@ -313,15 +311,13 @@ void PrintServiceStats(std::FILE* info, const serve::ServiceStats& stats) {
       static_cast<long>(stats.new_authors), stats.num_alive_vertices,
       stats.num_edges, stats.queued_now, stats.reorder_held,
       stats.queue_capacity, stats.rss_mb, stats.uptime_seconds);
-  if (stats.pipeline_depth > 1) {
-    std::fprintf(
-        info,
-        "  pipeline_depth=%d pipeline_windows=%ld pipeline_occupancy=%.2f "
-        "conflict_stalls=%ld speculative_rescores=%ld\n",
-        stats.pipeline_depth, static_cast<long>(stats.pipeline_windows),
-        stats.pipeline_occupancy, static_cast<long>(stats.conflict_stalls),
-        static_cast<long>(stats.speculative_rescores));
-  }
+  std::fprintf(
+      info,
+      "  pipeline_depth=%d pipeline_windows=%ld pipeline_occupancy=%.2f "
+      "conflict_stalls=%ld speculative_rescores=%ld\n",
+      stats.pipeline_depth, static_cast<long>(stats.pipeline_windows),
+      stats.pipeline_occupancy, static_cast<long>(stats.conflict_stalls),
+      static_cast<long>(stats.speculative_rescores));
   // Durability line, present whenever the WAL has done anything (all zeros
   // and age -1 mean serving without --wal-dir). Keys match the NDJSON
   // stats payload exactly, like everything else here.
@@ -463,10 +459,9 @@ int RunTcpServer(serve::Frontend& service, const core::IuadConfig& cfg) {
   return 0;
 }
 
-/// The serve loop over any front end through the one serve::Frontend
-/// interface: stream ingestion, the networked/stdio query API, stats,
-/// lookup, stop, and the optional shutdown checkpoint of the
-/// post-ingestion state.
+/// The serve loop over the serve::Frontend interface: stream ingestion,
+/// the networked/stdio query API, stats, lookup, stop, and the optional
+/// shutdown checkpoint of the post-ingestion state.
 /// `seq_base` is the first free ingestion sequence: 0 on a fresh serve,
 /// the replayed-tail length after WAL recovery (replay occupied the
 /// sequences below it, and --stream pins papers by sequence).
@@ -715,22 +710,15 @@ int CmdServe(const std::string& in,
     producers = util::ResolveNumThreads(std::atoi(it->second.c_str()));
   }
 
-  // One code path over the serving interface: the topology choice is the
-  // only branch, and everything downstream sees a serve::Frontend.
-  std::unique_ptr<serve::Frontend> service;
-  if (cfg.num_shards > 1) {
-    std::fprintf(info,
-                 "sharded serving: %d name-block shards (%s placement)\n",
-                cfg.num_shards,
-                cfg.shard_placement == core::ShardPlacement::kHash
-                    ? "hash"
-                    : "size-aware");
-    service = std::make_unique<shard::ShardRouter>(&*db, &snap->result, cfg,
-                                                   wal_log.get());
-  } else {
-    service = std::make_unique<serve::IngestService>(&*db, &snap->result,
-                                                     cfg, wal_log.get());
-  }
+  std::fprintf(info,
+               "sharded serving: %d name-block shard(s) (%s placement), "
+               "pipeline depth %d\n",
+               cfg.num_shards,
+               cfg.shard_placement == core::ShardPlacement::kHash
+                   ? "hash"
+                   : "size-aware",
+               cfg.pipeline_depth);
+  shard::ShardRouter service(&*db, &snap->result, cfg, wal_log.get());
 
   // Recovery, step 2: replay the durable log tail through the normal
   // submission path before any traffic — the recovered state is then
@@ -738,7 +726,7 @@ int CmdServe(const std::string& in,
   uint64_t seq_base = 0;
   if (wal_log != nullptr) {
     iuad::Stopwatch replay_sw;
-    auto replayed = wal::ReplayTail(*wal_log, service.get());
+    auto replayed = wal::ReplayTail(*wal_log, &service);
     if (!replayed.ok()) return Fail(replayed.status().ToString());
     seq_base = *replayed;
     if (wal_log->has_checkpoint() || *replayed > 0) {
@@ -755,7 +743,7 @@ int CmdServe(const std::string& in,
     }
     std::fflush(info);
   }
-  return DriveService(*service, &*db, &snap->result, cfg, flags, producers,
+  return DriveService(service, &*db, &snap->result, cfg, flags, producers,
                       seq_base);
 }
 

@@ -112,13 +112,13 @@ struct IuadConfig {
   int incremental_refresh_interval = 64;
 
   // --- Serving & persistence (src/serve, src/io) -------------------------
-  /// Bound of the serve::IngestService admission window: at most this many
+  /// Bound of the shard::ShardRouter admission window: at most this many
   /// submitted papers may be queued (or held for sequence reordering) ahead
-  /// of the applier; further Submit calls block. Must be >= 1 — the paper
-  /// whose sequence number is next to apply is always admissible, which is
-  /// what makes the bound deadlock-free.
+  /// of the router thread; further Submit calls block. Must be >= 1 — the
+  /// paper whose sequence number is next to apply is always admissible,
+  /// which is what makes the bound deadlock-free.
   int ingest_queue_capacity = 256;
-  /// The service republishes its read-only query view (author lookups,
+  /// The router republishes its read-only query view (author lookups,
   /// publication lists, stats) every this-many applied papers. Purely a
   /// freshness/throughput trade-off for concurrent readers: ingestion
   /// results never depend on it (similarity-cache refresh batching is
@@ -132,10 +132,10 @@ struct IuadConfig {
   bool persist_snapshot = false;
 
   // --- Sharded serving (src/shard) ---------------------------------------
-  /// Shard count of the shard::ShardRouter serving front end; 1 keeps the
-  /// single-applier serve::IngestService shape. Also the shard-section
-  /// count of snapshot format v2 payloads (src/io), so a snapshot saved by
-  /// an N-shard service loads its sections in parallel. Assignments are
+  /// Shard count of the shard::ShardRouter serving front end; 1 (the
+  /// default) scores every byline on one shard. Also the shard-section count
+  /// of snapshot format v2 payloads (src/io), so a snapshot saved by an
+  /// N-shard service loads its sections in parallel. Assignments are
   /// byte-identical at every value. CLI flag: --shards on `serve`.
   int num_shards = 1;
   /// Block→shard placement policy (see ShardPlacement).
@@ -210,8 +210,8 @@ struct IuadConfig {
   /// recovery automatic on the next serve against the same directory.
   std::string wal_dir;
   /// Group-commit width: the WAL fsyncs after this many buffered records.
-  /// 1 = fsync every record (strict durability, slowest). CLI flag:
-  /// --wal-fsync-every.
+  /// 1 = fsync once per pipelined window of at most pipeline_depth records
+  /// (strictest, slowest). CLI flag: --wal-fsync-every.
   int wal_fsync_every_n = 64;
   /// Time trigger of the group commit: flush+fsync on append once this
   /// many milliseconds have passed since the last sync, even when fewer

@@ -173,11 +173,20 @@ void MetricsServer::ServeLoop() {
       if (errno == EINTR) continue;
       return;  // listener shut down (Shutdown) or fatal
     }
-    // One recv of the GET line is all a scraper needs to send; the path
-    // selects between the two read-only surfaces.
+    // Read the request head up to its blank line (capped at 1 KiB): the
+    // path selects between the two read-only surfaces. A client may send
+    // the head in several segments, and closing with any of it unread
+    // makes the kernel answer with a reset that can destroy the response.
+    std::string head;
     char buf[1024];
-    const ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    const std::string head(buf, n > 0 ? static_cast<size_t>(n) : 0);
+    while (head.size() < sizeof(buf) &&
+           head.find("\r\n\r\n") == std::string::npos &&
+           head.find("\n\n") == std::string::npos) {
+      const ssize_t n = ::recv(fd, buf, sizeof(buf) - head.size(), 0);
+      if (n < 0 && errno == EINTR) continue;
+      if (n <= 0) break;
+      head.append(buf, static_cast<size_t>(n));
+    }
     std::string body;
     const char* content_type = "text/plain; version=0.0.4";
     if (head.rfind("GET /trace", 0) == 0) {

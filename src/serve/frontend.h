@@ -3,14 +3,12 @@
 
 /// \file frontend.h
 /// The one serving interface. A Frontend is a live, queryable collaboration
-/// network accepting newly published papers (Sec. V-E): the single-applier
-/// serve::IngestService and the name-block-sharded shard::ShardRouter both
-/// implement it, so everything above — the CLI serve loop, the typed
-/// src/api layer, benchmarks, examples — drives one `Frontend*` and never
-/// branches on the serving topology.
+/// network accepting newly published papers (Sec. V-E). The name-block-
+/// sharded shard::ShardRouter implements it at every shard count; the CLI
+/// serve loop, the typed src/api layer, wal::ReplayTail, benchmarks and
+/// examples all drive one `Frontend*`.
 ///
-/// Shared contract (pinned by tests/serve_test.cpp, tests/shard_test.cpp,
-/// tests/api_test.cpp):
+/// Shared contract (pinned by tests/shard_test.cpp, tests/api_test.cpp):
 ///
 ///  * WRITES are totally ordered by sequence number; the ingestion outcome
 ///    equals sequential IncrementalDisambiguator::AddPaper calls in
@@ -50,8 +48,8 @@ struct AuthorRecord {
   int num_papers = 0;
 };
 
-/// Per-shard health, published with the read views. The unsharded
-/// IngestService publishes none; the ShardRouter publishes one per shard.
+/// Per-shard health, published with the read views: one entry per shard,
+/// including at one shard.
 struct ShardHealth {
   int shard = 0;
   int64_t owned_blocks = 0;      ///< Blocks placed at fit time.
@@ -81,10 +79,8 @@ struct ServiceStats {
   /// sequence — the first thing on-call should look at.
   int reorder_held = 0;
   int queue_capacity = 0;        ///< config.ingest_queue_capacity, for UIs.
-  int num_shards = 1;            ///< Serving topology (1 = unsharded).
-  // Ingestion-pipeline health (shard_router.h). The unsharded IngestService
-  // is the degenerate depth-1 pipeline: it reports depth 1, one window per
-  // applied paper, occupancy 1, and zero stalls/rescores.
+  int num_shards = 1;            ///< Serving topology (name-block shards).
+  // Ingestion-pipeline health (shard_router.h).
   int pipeline_depth = 1;        ///< config.pipeline_depth in effect.
   int64_t pipeline_windows = 0;  ///< Scoring windows formed so far.
   /// Mean papers per window whose phase-1 scoring actually overlapped with
@@ -123,7 +119,7 @@ struct ServiceStats {
   /// exists (or no WAL). Alarms on this catch a stuck compactor.
   double wal_last_checkpoint_age_s = -1.0;
   double wal_fsync_wait_us_p99 = 0.0;  ///< p99 fsync stall seen by commits.
-  std::vector<ShardHealth> shards;  ///< Per-shard breakdown; empty at 1.
+  std::vector<ShardHealth> shards;  ///< Per-shard breakdown, one per shard.
 };
 
 /// Abstract serving front end over one fitted disambiguation result.

@@ -114,9 +114,9 @@ std::vector<std::future<ShardRouter::Assignments>> ShardRouter::SubmitBatch(
   futures.reserve(papers.size());
   if (papers.empty()) return futures;
   std::unique_lock<std::mutex> lock(mu_);
-  // Reserve the whole contiguous range up front (see
-  // IngestService::SubmitBatch): a paper blocking on admission releases the
-  // lock, but no interleaving producer can claim a sequence in the batch.
+  // Reserve the whole contiguous range up front: even when a later paper
+  // blocks on admission (releasing the lock), no interleaving producer can
+  // claim a sequence inside the batch.
   uint64_t seq = next_ticket_;
   next_ticket_ += static_cast<uint64_t>(papers.size());
   for (auto& paper : papers) {
@@ -755,8 +755,11 @@ serve::ServiceStats ShardRouter::Stats() const {
   }
   std::lock_guard<std::mutex> lock(mu_);
   stats.queued_now = static_cast<int>(pending_.size());
-  // See IngestService::Stats: the contiguous run starts after the in-flight
-  // window, whose sequences sit in neither pending_ nor the applied range.
+  // Everything buffered beyond the contiguous run from the next consumable
+  // sequence is held for reordering: it cannot apply until a producer fills
+  // the hole. The run starts after the in-flight window, whose sequences
+  // sit in neither pending_ nor the applied range — otherwise every queued
+  // paper on a healthy, loaded router would count as held.
   uint64_t expect = std::max(next_apply_, in_flight_hi_);
   for (const auto& [seq, req] : pending_) {
     if (seq == expect) {

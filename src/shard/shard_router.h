@@ -2,14 +2,15 @@
 #define IUAD_SHARD_SHARD_ROUTER_H_
 
 /// \file shard_router.h
-/// Horizontally sharded serving front end for the incremental path: a
-/// ShardRouter partitions the fitted DisambiguationResult's name blocks
-/// across N shard workers (shard/placement.h) and drives them from one
-/// global ingestion sequence. The paper's bottom-up design makes candidate
-/// scoring block-local by construction — a byline competes only against
-/// same-name vertices — so each byline is scored on the shard that owns its
-/// block, concurrently with the other bylines of the same paper, while
-/// cross-shard collaboration-edge deltas commit under a single global
+/// The serving front end for the incremental path, and the only
+/// serve::Frontend implementation: a ShardRouter partitions the fitted
+/// DisambiguationResult's name blocks across N >= 1 shard workers
+/// (shard/placement.h) and drives them from one global ingestion sequence;
+/// one shard is just the N = 1 case. The paper's bottom-up design makes
+/// candidate scoring block-local by construction — a byline competes only
+/// against same-name vertices — so each byline is scored on the shard that
+/// owns its block, concurrently with the other bylines of the same paper,
+/// while cross-shard collaboration-edge deltas commit under a single global
 /// sequence number.
 ///
 /// Consistency contract (the whole point — pinned by tests/shard_test.cpp):
@@ -57,14 +58,16 @@
 /// pipeline_depth = 1 degenerates to the pre-pipeline router: one paper per
 /// window, nothing deferred, scatter/commit per paper.
 ///
+/// Submission, the admission bound, the dense-sequence SubmitAt contract
+/// and Drain/Stop follow the shared contract in serve/frontend.h; a reorder
+/// buffer holds SubmitAt arrivals that are early for their sequence.
+///
 /// Reads are shard-local: each shard publishes an immutable view of its
 /// owned blocks every config.ingest_refresh_window applied papers (and at
 /// Drain/Stop). AuthorsByName routes to the one owning shard; Stats
 /// aggregates all shards plus router-level health (queue depth, reorder
-/// occupancy, epoch). Submission, admission bounds, the dense-sequence
-/// SubmitAt contract, and Drain/Stop semantics mirror serve::IngestService
-/// exactly — the router is its N-shard generalization, and collapses to the
-/// same behavior at num_shards = 1.
+/// occupancy, epoch). Readers never touch the live graph, so they are safe
+/// concurrent with ingestion and at most one refresh window behind.
 
 #include <condition_variable>
 #include <cstdint>
@@ -84,7 +87,7 @@
 #include "data/paper_database.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/ingest_service.h"
+#include "serve/frontend.h"
 #include "shard/placement.h"
 #include "util/status.h"
 #include "util/thread_pool.h"
@@ -96,7 +99,7 @@ class Log;
 namespace iuad::shard {
 
 /// Name-block-sharded MPSC ingestion + concurrent read service: the
-/// N-shard implementation of serve::Frontend.
+/// serve::Frontend implementation, at any shard count.
 class ShardRouter : public serve::Frontend {
  public:
   /// Starts the router thread and its shard worker pool. `config` must

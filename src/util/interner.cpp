@@ -24,8 +24,11 @@ StringInterner& StringInterner::operator=(StringInterner&& other) noexcept {
 }
 
 void StringInterner::CopyFrom(const StringInterner& other) {
-  std::shared_lock other_lock(other.mu_);
-  std::unique_lock self_lock(mu_);
+  // Both locks through std::lock: a fixed other-then-self order would
+  // invert whenever two interners trade roles.
+  std::shared_lock other_lock(other.mu_, std::defer_lock);
+  std::unique_lock self_lock(mu_, std::defer_lock);
+  std::lock(other_lock, self_lock);
   blocks_.clear();
   block_used_ = 0;
   arena_bytes_ = 0;
@@ -41,8 +44,7 @@ void StringInterner::CopyFrom(const StringInterner& other) {
 }
 
 void StringInterner::MoveFrom(StringInterner& other) {
-  std::unique_lock other_lock(other.mu_);
-  std::unique_lock self_lock(mu_);
+  std::scoped_lock lock(other.mu_, mu_);  // see CopyFrom
   blocks_ = std::move(other.blocks_);
   block_used_ = other.block_used_;
   arena_bytes_ = other.arena_bytes_;

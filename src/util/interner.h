@@ -67,7 +67,7 @@ class StringInterner {
   /// Copies `s` into the arena; the result outlives every later Intern.
   std::string_view ArenaCopy(std::string_view s);
   void CopyFrom(const StringInterner& other);  // caller holds no locks
-  void MoveFrom(StringInterner& other);        // locks `other`
+  void MoveFrom(StringInterner& other);        // caller holds no locks
 
   mutable std::shared_mutex mu_;
   std::vector<std::unique_ptr<char[]>> blocks_;

@@ -38,9 +38,8 @@
 /// rejected as FailedPrecondition.
 ///
 /// Threading: Append/MaybeFlush/Flush/MaybeCheckpoint are called only from
-/// the frontend's single commit thread (applier / router). Open and the
-/// tail() accessors are pre-serving. Metrics are relaxed atomics, readable
-/// from any thread.
+/// the router's single commit thread. Open and the tail() accessors are
+/// pre-serving. Metrics are relaxed atomics, readable from any thread.
 
 #include <cstdint>
 #include <memory>
@@ -65,7 +64,8 @@ namespace iuad::wal {
 /// Writer knobs (CLI: --wal-fsync-every / --wal-fsync-ms).
 struct Options {
   /// Group-commit width: fsync after this many buffered records. 1 =
-  /// fsync every record (strict durability, slowest).
+  /// fsync at every check, i.e. once per pipelined window of at most
+  /// pipeline_depth records (strictest, slowest).
   int fsync_every_n = 64;
   /// Time trigger: flush+fsync on append when this much time has passed
   /// since the last sync, even if fewer than fsync_every_n records are
@@ -136,8 +136,7 @@ class Log {
   void Append(uint64_t session_seq, const data::Paper& paper);
 
   /// Flush+fsync if the group-commit cadence (fsync_every_n records or
-  /// fsync_interval_ms elapsed) says so. Call once per commit (applier) or
-  /// once per window (router).
+  /// fsync_interval_ms elapsed) says so. Call once per pipelined window.
   void MaybeFlush();
 
   /// Unconditional flush+fsync of everything appended so far. Called on

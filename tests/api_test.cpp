@@ -24,7 +24,6 @@
 #include "api/server.h"
 #include "core/pipeline.h"
 #include "serve/frontend.h"
-#include "serve/ingest_service.h"
 #include "shard/shard_router.h"
 #include "testing_utils.h"
 #include "util/json_reader.h"
@@ -548,10 +547,7 @@ Fixture MakeFixture(uint64_t seed, int holdout, const core::IuadConfig& cfg) {
 
 std::unique_ptr<serve::Frontend> MakeFrontend(Fixture* f,
                                               const core::IuadConfig& cfg) {
-  if (cfg.num_shards > 1) {
-    return std::make_unique<shard::ShardRouter>(&f->history, &f->result, cfg);
-  }
-  return std::make_unique<serve::IngestService>(&f->history, &f->result, cfg);
+  return std::make_unique<shard::ShardRouter>(&f->history, &f->result, cfg);
 }
 
 /// Order-sensitive digest including the raw score text (%.17g, the wire
@@ -632,7 +628,7 @@ std::vector<std::string> SessionTraces(const core::IuadConfig& cfg,
   return traces;
 }
 
-TEST(ApiEquivalenceTest, SessionMatchesDirectSubmitUnsharded) {
+TEST(ApiEquivalenceTest, SessionMatchesDirectSubmitAtOneShard) {
   const core::IuadConfig cfg = FastConfig(1);
   const auto direct = DirectTraces(cfg, 61, 40);
   ASSERT_EQ(direct.size(), 40u);

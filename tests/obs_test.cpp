@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -326,9 +327,15 @@ TEST(ExpositionTest, MetricsServerServesATracePath) {
   addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
             0);
-  const std::string req = "GET /trace HTTP/1.0\r\n\r\n";
-  ASSERT_EQ(::send(fd, req.data(), req.size(), 0),
-            static_cast<ssize_t>(req.size()));
+  // The request head arrives in two segments, split inside the path: the
+  // server must read up to the blank line before it picks a surface.
+  const std::string first = "GET /tr";
+  const std::string rest = "ace HTTP/1.0\r\n\r\n";
+  ASSERT_EQ(::send(fd, first.data(), first.size(), 0),
+            static_cast<ssize_t>(first.size()));
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  ASSERT_EQ(::send(fd, rest.data(), rest.size(), 0),
+            static_cast<ssize_t>(rest.size()));
   std::string resp;
   char buf[4096];
   for (;;) {

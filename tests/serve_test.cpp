@@ -1,21 +1,24 @@
-/// serve::IngestService: the concurrency contract. Ingestion through the
-/// service — at any producer count, through either Submit or SubmitAt —
-/// must equal sequential IncrementalDisambiguator::AddPaper calls in
-/// sequence order, the admission window must bound the queue without
-/// deadlocking, and the read APIs must be safe while the applier mutates
-/// the graph.
+/// serve::Frontend: the serving contract at one shard. One shard is the
+/// N = 1 case of shard::ShardRouter, and every check here goes through the
+/// Frontend interface. Ingestion — at any producer count, through Submit,
+/// SubmitAt or SubmitBatch — must equal sequential
+/// IncrementalDisambiguator::AddPaper calls in sequence order, the
+/// admission window must bound the queue without deadlocking, and the read
+/// APIs must be safe while the router mutates the graph.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <future>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/incremental.h"
 #include "core/pipeline.h"
-#include "serve/ingest_service.h"
+#include "serve/frontend.h"
+#include "shard/shard_router.h"
 #include "testing_utils.h"
 
 namespace iuad::serve {
@@ -26,6 +29,7 @@ core::IuadConfig FastConfig() {
   cfg.word2vec.dim = 16;
   cfg.word2vec.epochs = 2;
   cfg.max_split_vertices = 50;
+  cfg.num_shards = 1;
   return cfg;
 }
 
@@ -47,6 +51,12 @@ Fixture MakeFixture(uint64_t seed, int holdout, const core::IuadConfig& cfg) {
   EXPECT_TRUE(result.ok()) << result.status().ToString();
   f.result = std::move(*result);
   return f;
+}
+
+/// The serving engine over `f`, reached only through the interface.
+std::unique_ptr<Frontend> MakeFrontend(Fixture* f,
+                                       const core::IuadConfig& cfg) {
+  return std::make_unique<shard::ShardRouter>(&f->history, &f->result, cfg);
 }
 
 std::string TraceOf(const std::vector<core::IncrementalAssignment>& as) {
@@ -73,24 +83,24 @@ std::vector<std::string> SequentialTraces(const core::IuadConfig& cfg,
 }
 
 /// Service run: `producers` threads race over the stream with SubmitAt.
-std::vector<std::string> ServiceTraces(core::IuadConfig cfg, uint64_t seed,
-                                       int holdout, int producers) {
+std::vector<std::string> ServiceTraces(const core::IuadConfig& cfg,
+                                       uint64_t seed, int holdout,
+                                       int producers) {
   Fixture f = MakeFixture(seed, holdout, cfg);
-  std::vector<std::future<IngestService::Assignments>> futures(
-      f.stream.size());
-  IngestService service(&f.history, &f.result, cfg);
+  std::vector<std::future<Frontend::Assignments>> futures(f.stream.size());
+  auto service = MakeFrontend(&f, cfg);
   std::atomic<size_t> next{0};
   auto producer = [&] {
     for (size_t i = next.fetch_add(1); i < f.stream.size();
          i = next.fetch_add(1)) {
-      futures[i] = service.SubmitAt(i, f.stream[i]);
+      futures[i] = service->SubmitAt(i, f.stream[i]);
     }
   };
   std::vector<std::thread> threads;
   for (int t = 1; t < producers; ++t) threads.emplace_back(producer);
   producer();
   for (auto& t : threads) t.join();
-  service.Stop();
+  service->Stop();
   std::vector<std::string> traces;
   for (auto& fut : futures) {
     auto r = fut.get();
@@ -100,7 +110,7 @@ std::vector<std::string> ServiceTraces(core::IuadConfig cfg, uint64_t seed,
   return traces;
 }
 
-TEST(IngestServiceTest, MatchesSequentialAtAnyProducerCount) {
+TEST(OneShardFrontendTest, MatchesSequentialAtAnyProducerCount) {
   const core::IuadConfig cfg = FastConfig();
   const auto sequential = SequentialTraces(cfg, 33, 60);
   ASSERT_EQ(sequential.size(), 60u);
@@ -108,7 +118,7 @@ TEST(IngestServiceTest, MatchesSequentialAtAnyProducerCount) {
   EXPECT_EQ(ServiceTraces(cfg, 33, 60, 4), sequential);
 }
 
-TEST(IngestServiceTest, TinyAdmissionWindowStaysLiveAndDeterministic) {
+TEST(OneShardFrontendTest, TinyAdmissionWindowStaysLiveAndDeterministic) {
   core::IuadConfig cfg = FastConfig();
   cfg.ingest_queue_capacity = 1;  // every out-of-turn producer must block
   cfg.ingest_refresh_window = 3;
@@ -116,100 +126,105 @@ TEST(IngestServiceTest, TinyAdmissionWindowStaysLiveAndDeterministic) {
   EXPECT_EQ(ServiceTraces(cfg, 34, 40, 4), sequential);
 }
 
-TEST(IngestServiceTest, SubmitAssignsArrivalOrderSequences) {
+TEST(OneShardFrontendTest, SubmitAssignsArrivalOrderSequences) {
   core::IuadConfig cfg = FastConfig();
   Fixture f = MakeFixture(35, 30, cfg);
   const auto sequential = SequentialTraces(cfg, 35, 30);
-  IngestService service(&f.history, &f.result, cfg);
-  std::vector<std::future<IngestService::Assignments>> futures;
-  for (const auto& paper : f.stream) futures.push_back(service.Submit(paper));
-  service.Drain();
+  auto service = MakeFrontend(&f, cfg);
+  std::vector<std::future<Frontend::Assignments>> futures;
+  for (const auto& paper : f.stream) futures.push_back(service->Submit(paper));
+  service->Drain();
   for (size_t i = 0; i < futures.size(); ++i) {
     auto r = futures[i].get();
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(TraceOf(*r), sequential[i]);
   }
-  const auto stats = service.Stats();
+  const auto stats = service->Stats();
   EXPECT_EQ(stats.papers_applied, static_cast<int64_t>(f.stream.size()));
   EXPECT_EQ(stats.queued_now, 0);
-  service.Stop();
+  // One shard is the same engine: it reports its topology and the
+  // configured pipeline depth like any other shard count.
+  EXPECT_EQ(stats.num_shards, 1);
+  EXPECT_EQ(stats.shards.size(), 1u);
+  EXPECT_EQ(stats.pipeline_depth, cfg.pipeline_depth);
+  service->Stop();
 }
 
-TEST(IngestServiceTest, SubmitBatchMatchesSequentialAndStaysContiguous) {
+TEST(OneShardFrontendTest, SubmitBatchMatchesSequentialAndStaysContiguous) {
   core::IuadConfig cfg = FastConfig();
   cfg.ingest_queue_capacity = 4;  // the batch must block-and-drain mid-way
   const auto sequential = SequentialTraces(cfg, 33, 60);
   Fixture f = MakeFixture(33, 60, cfg);
-  IngestService service(&f.history, &f.result, cfg);
-  serve::Frontend& frontend = service;  // through the interface
+  auto service = MakeFrontend(&f, cfg);
   // Two batches + a trailing single Submit: the second batch's range is
   // reserved after the first, the single lands after both.
   std::vector<data::Paper> first(f.stream.begin(), f.stream.begin() + 40);
   std::vector<data::Paper> second(f.stream.begin() + 40, f.stream.end() - 1);
-  auto futures = frontend.SubmitBatch(std::move(first));
-  auto more = frontend.SubmitBatch(std::move(second));
+  auto futures = service->SubmitBatch(std::move(first));
+  auto more = service->SubmitBatch(std::move(second));
   for (auto& fut : more) futures.push_back(std::move(fut));
-  futures.push_back(frontend.Submit(f.stream.back()));
+  futures.push_back(service->Submit(f.stream.back()));
   ASSERT_EQ(futures.size(), f.stream.size());
-  service.Drain();
+  service->Drain();
   for (size_t i = 0; i < futures.size(); ++i) {
     auto r = futures[i].get();
     ASSERT_TRUE(r.ok()) << r.status().ToString();
     EXPECT_EQ(TraceOf(*r), sequential[i]);
   }
-  EXPECT_TRUE(frontend.SubmitBatch({}).empty());
-  service.Stop();
+  EXPECT_TRUE(service->SubmitBatch({}).empty());
+  service->Stop();
 }
 
-TEST(IngestServiceTest, ReadsAreSafeDuringIngestion) {
+TEST(OneShardFrontendTest, ReadsAreSafeDuringIngestion) {
   core::IuadConfig cfg = FastConfig();
   cfg.ingest_refresh_window = 5;  // republish often to exercise epoch swaps
   Fixture f = MakeFixture(36, 60, cfg);
   // A name guaranteed to exist: the first history byline.
   const std::string name = f.history.paper(0).author_names[0];
-  IngestService service(&f.history, &f.result, cfg);
+  auto service = MakeFrontend(&f, cfg);
 
   std::atomic<bool> done{false};
   std::atomic<int64_t> reads{0};
   std::thread reader([&] {
     while (!done.load()) {
-      const auto records = service.AuthorsByName(name);
+      const auto records = service->AuthorsByName(name);
       for (const auto& rec : records) {
         // Each call reads the epoch current at that instant; a republish
         // may land between the two calls. Incremental ingestion never
         // merges vertices, so an alive vertex's paper count only grows —
         // the later read must be at least the earlier one.
-        EXPECT_GE(static_cast<int>(service.PublicationsOf(rec.vertex).size()),
-                  rec.num_papers);
+        EXPECT_GE(
+            static_cast<int>(service->PublicationsOf(rec.vertex).size()),
+            rec.num_papers);
       }
-      (void)service.Stats();
+      (void)service->Stats();
       ++reads;
     }
   });
 
-  std::vector<std::future<IngestService::Assignments>> futures;
-  for (const auto& paper : f.stream) futures.push_back(service.Submit(paper));
-  service.Drain();
+  std::vector<std::future<Frontend::Assignments>> futures;
+  for (const auto& paper : f.stream) futures.push_back(service->Submit(paper));
+  service->Drain();
   done = true;
   reader.join();
   for (auto& fut : futures) EXPECT_TRUE(fut.get().ok());
   EXPECT_GT(reads.load(), 0);
 
-  const auto stats = service.Stats();
+  const auto stats = service->Stats();
   EXPECT_EQ(stats.papers_applied, static_cast<int64_t>(f.stream.size()));
   EXPECT_GE(stats.epoch, 1);
   EXPECT_EQ(stats.num_alive_vertices, f.result.graph.num_alive());
   EXPECT_EQ(stats.num_edges, f.result.graph.num_edges());
-  service.Stop();
+  service->Stop();
 }
 
-TEST(IngestServiceTest, HealthCountersTrackQueueAndReorderBuffer) {
+TEST(OneShardFrontendTest, HealthCountersTrackQueueAndReorderBuffer) {
   core::IuadConfig cfg = FastConfig();
   cfg.ingest_queue_capacity = 8;
   Fixture f = MakeFixture(42, 10, cfg);
-  IngestService service(&f.history, &f.result, cfg);
+  auto service = MakeFrontend(&f, cfg);
   {
-    const auto stats = service.Stats();
+    const auto stats = service->Stats();
     EXPECT_EQ(stats.epoch, 0);  // the pre-ingestion view
     EXPECT_EQ(stats.papers_applied, 0);
     EXPECT_EQ(stats.queued_now, 0);
@@ -217,73 +232,73 @@ TEST(IngestServiceTest, HealthCountersTrackQueueAndReorderBuffer) {
     EXPECT_EQ(stats.queue_capacity, 8);
   }
   // Two papers stuck behind the sequence-0 hole: both queued, both held.
-  auto h1 = service.SubmitAt(1, f.stream[0]);
-  auto h2 = service.SubmitAt(2, f.stream[1]);
+  auto h1 = service->SubmitAt(1, f.stream[0]);
+  auto h2 = service->SubmitAt(2, f.stream[1]);
   {
-    const auto stats = service.Stats();
+    const auto stats = service->Stats();
     EXPECT_EQ(stats.queued_now, 2);
     EXPECT_EQ(stats.reorder_held, 2);
   }
   // Filling the hole drains everything; a drain also publishes.
-  auto h0 = service.SubmitAt(0, f.stream[2]);
-  service.Drain();
+  auto h0 = service->SubmitAt(0, f.stream[2]);
+  service->Drain();
   EXPECT_TRUE(h0.get().ok());
   EXPECT_TRUE(h1.get().ok());
   EXPECT_TRUE(h2.get().ok());
   {
-    const auto stats = service.Stats();
+    const auto stats = service->Stats();
     EXPECT_EQ(stats.papers_applied, 3);
     EXPECT_EQ(stats.queued_now, 0);
     EXPECT_EQ(stats.reorder_held, 0);
     EXPECT_GE(stats.epoch, 1);  // the drain republished the view
   }
-  service.Stop();
+  service->Stop();
 }
 
-TEST(IngestServiceTest, DuplicateSequenceFailsThatSubmissionOnly) {
+TEST(OneShardFrontendTest, DuplicateSequenceFailsThatSubmissionOnly) {
   core::IuadConfig cfg = FastConfig();
   Fixture f = MakeFixture(37, 10, cfg);
-  IngestService service(&f.history, &f.result, cfg);
-  auto ok1 = service.SubmitAt(0, f.stream[0]);
-  auto dup = service.SubmitAt(0, f.stream[1]);
+  auto service = MakeFrontend(&f, cfg);
+  auto ok1 = service->SubmitAt(0, f.stream[0]);
+  auto dup = service->SubmitAt(0, f.stream[1]);
   auto r_dup = dup.get();
   ASSERT_FALSE(r_dup.ok());
   EXPECT_EQ(r_dup.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(ok1.get().ok());
-  service.Stop();
+  service->Stop();
 }
 
-TEST(IngestServiceTest, StopFailsStrandedSubmissionsAndRejectsNewOnes) {
+TEST(OneShardFrontendTest, StopFailsStrandedSubmissionsAndRejectsNewOnes) {
   core::IuadConfig cfg = FastConfig();
   Fixture f = MakeFixture(38, 10, cfg);
-  IngestService service(&f.history, &f.result, cfg);
+  auto service = MakeFrontend(&f, cfg);
   // Sequence 1 can never apply: sequence 0 is a hole we never fill.
-  auto stranded = service.SubmitAt(1, f.stream[0]);
-  service.Stop();
+  auto stranded = service->SubmitAt(1, f.stream[0]);
+  service->Stop();
   auto r = stranded.get();
   ASSERT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kFailedPrecondition);
-  auto late = service.Submit(f.stream[1]);
+  auto late = service->Submit(f.stream[1]);
   auto r_late = late.get();
   ASSERT_FALSE(r_late.ok());
   EXPECT_EQ(r_late.status().code(), StatusCode::kFailedPrecondition);
 }
 
-TEST(IngestServiceTest, BadPaperFailsItsFutureWithoutWedgingTheQueue) {
+TEST(OneShardFrontendTest, BadPaperFailsItsFutureWithoutWedgingTheQueue) {
   core::IuadConfig cfg = FastConfig();
   Fixture f = MakeFixture(39, 10, cfg);
-  IngestService service(&f.history, &f.result, cfg);
-  auto good_before = service.Submit(f.stream[0]);
-  auto bad = service.Submit(data::Paper{});  // empty byline -> InvalidArgument
-  auto good_after = service.Submit(f.stream[1]);
-  service.Drain();
+  auto service = MakeFrontend(&f, cfg);
+  auto good_before = service->Submit(f.stream[0]);
+  auto bad = service->Submit(data::Paper{});  // empty byline -> InvalidArgument
+  auto good_after = service->Submit(f.stream[1]);
+  service->Drain();
   EXPECT_TRUE(good_before.get().ok());
   auto r_bad = bad.get();
   ASSERT_FALSE(r_bad.ok());
   EXPECT_EQ(r_bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_TRUE(good_after.get().ok());
-  EXPECT_EQ(service.Stats().papers_applied, 2);
-  service.Stop();
+  EXPECT_EQ(service->Stats().papers_applied, 2);
+  service->Stop();
 }
 
 }  // namespace

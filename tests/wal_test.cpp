@@ -30,7 +30,6 @@
 #include "core/pipeline.h"
 #include "data/paper_database.h"
 #include "io/snapshot.h"
-#include "serve/ingest_service.h"
 #include "shard/shard_router.h"
 #include "testing_utils.h"
 #include "util/build_info.h"
@@ -307,9 +306,11 @@ TEST(WalLogTest, MismatchedCorpusFingerprintIsRejected) {
   EXPECT_EQ((*right)->durable_next(), 1u);
 }
 
-/// Drives a WAL-backed IngestService through checkpoints and segment
-/// rotations, then recovers from the checkpoint + tail and verifies the
-/// recovered read state equals an uninterrupted run's.
+/// Drives a WAL-backed one-shard ShardRouter (default pipeline depth)
+/// through checkpoints and segment rotations, then recovers from the
+/// checkpoint + tail and verifies the recovered read state equals an
+/// uninterrupted run's. The window cap must keep every checkpoint on a
+/// refresh boundary even though windows span several papers.
 TEST(WalCheckpointTest, CompactionRetiresSegmentsAndReplayCrossesBoundary) {
   core::IuadConfig cfg = FastConfig();
   cfg.incremental_refresh_interval = 5;
@@ -326,18 +327,18 @@ TEST(WalCheckpointTest, CompactionRetiresSegmentsAndReplayCrossesBoundary) {
   {
     auto log = Log::Open(dir, fp, opts);
     ASSERT_TRUE(log.ok()) << log.status().ToString();
-    serve::IngestService service(&f.history, &f.result, cfg, log->get());
-    std::vector<std::future<serve::IngestService::Assignments>> futures;
+    shard::ShardRouter router(&f.history, &f.result, cfg, log->get());
+    std::vector<std::future<shard::ShardRouter::Assignments>> futures;
     for (size_t i = 0; i < f.stream.size(); ++i) {
-      futures.push_back(service.SubmitAt(i, f.stream[i]));
+      futures.push_back(router.SubmitAt(i, f.stream[i]));
     }
     for (auto& fut : futures) ASSERT_TRUE(fut.get().ok());
-    service.Stop();
+    router.Stop();
     ASSERT_TRUE((*log)->status().ok()) << (*log)->status().ToString();
     // Checkpoints land at refresh boundaries 5, 10, 15, 20; the last one
     // covers [0, 20).
     EXPECT_EQ((*log)->last_checkpoint_seq(), 20u);
-    const auto stats = service.Stats();
+    const auto stats = router.Stats();
     EXPECT_EQ(stats.wal_appended, 24);
     EXPECT_EQ(stats.wal_last_checkpoint_seq, 20);
     EXPECT_GE(stats.wal_last_checkpoint_age_s, 0.0);
@@ -365,7 +366,7 @@ TEST(WalCheckpointTest, CompactionRetiresSegmentsAndReplayCrossesBoundary) {
   ASSERT_TRUE(ckpt_db.ok()) << ckpt_db.status().ToString();
   auto snap = io::LoadSnapshot((*log)->checkpoint_snapshot_path(), *ckpt_db);
   ASSERT_TRUE(snap.ok()) << snap.status().ToString();
-  serve::IngestService recovered(&*ckpt_db, &snap->result, cfg, log->get());
+  shard::ShardRouter recovered(&*ckpt_db, &snap->result, cfg, log->get());
   auto replayed = ReplayTail(**log, &recovered);
   ASSERT_TRUE(replayed.ok()) << replayed.status().ToString();
   EXPECT_EQ(*replayed, 4u);
@@ -376,7 +377,7 @@ TEST(WalCheckpointTest, CompactionRetiresSegmentsAndReplayCrossesBoundary) {
   // The recovered read state must equal an uninterrupted run's, vertex ids
   // and paper attributions included.
   Fixture g = MakeFixture(kSeed, kHoldout, cfg);
-  serve::IngestService uninterrupted(&g.history, &g.result, cfg);
+  shard::ShardRouter uninterrupted(&g.history, &g.result, cfg);
   for (size_t i = 0; i < g.stream.size(); ++i) {
     uninterrupted.SubmitAt(i, g.stream[i]);
   }
