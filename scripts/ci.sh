@@ -9,10 +9,11 @@ cd "$(dirname "$0")/.."
 # build tree, so the regular ./build stays warm. Heavier and slower — run
 # them when touching memory layout, concurrency, or raw-byte io paths. The
 # TSan preset runs only the concurrent suites (the pipelined shard router,
-# which serves every shard count, its one-shard Frontend contract suite, and
-# the API server) rather than the whole gate: that is where the thread
-# schedules live, and TSan's ~10x slowdown on the fit-heavy suites buys
-# nothing.
+# which serves every shard count, its one-shard Frontend contract suite, the
+# API server, and graph_test, whose WL kernel prewarm writes per-vertex
+# feature slots from pool workers) rather than the whole gate: that is where
+# the thread schedules live, and TSan's ~10x slowdown on the fit-heavy
+# suites buys nothing.
 BUILD_DIR=build
 CMAKE_EXTRA=()
 TSAN_ONLY=0
@@ -40,10 +41,11 @@ fi
 cmake -B "$BUILD_DIR" -S . "${CMAKE_EXTRA[@]}"
 if [[ "$TSAN_ONLY" == "1" ]]; then
   cmake --build "$BUILD_DIR" -j "$(nproc)" \
-    --target shard_test serve_test api_test obs_test util_test wal_test
+    --target shard_test serve_test api_test obs_test util_test wal_test \
+    graph_test
   (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)" \
-    -R '^(shard_test|serve_test|api_test|obs_test|util_test|wal_test)$')
-  echo "tsan gate (shard_test serve_test api_test obs_test util_test wal_test): OK"
+    -R '^(shard_test|serve_test|api_test|obs_test|util_test|wal_test|graph_test)$')
+  echo "tsan gate (shard_test serve_test api_test obs_test util_test wal_test graph_test): OK"
   exit 0
 fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"

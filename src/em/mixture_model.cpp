@@ -9,6 +9,24 @@
 #include "util/thread_pool.h"
 
 namespace iuad::em {
+namespace {
+
+/// Rejects an empty training set or a vector whose dimension is not `m`.
+iuad::Status CheckGammas(const std::vector<std::vector<double>>& gammas,
+                         size_t m) {
+  if (gammas.empty()) {
+    return iuad::Status::InvalidArgument("EM: no training vectors");
+  }
+  for (const auto& g : gammas) {
+    if (g.size() != m) {
+      return iuad::Status::InvalidArgument(
+          "EM: similarity vector dimension mismatch");
+    }
+  }
+  return iuad::Status::OK();
+}
+
+}  // namespace
 
 MixtureModel::MixtureModel(MixtureConfig config) : config_(std::move(config)) {
   for (FamilyType f : config_.families) {
@@ -75,9 +93,9 @@ std::vector<double> MixtureModel::InitialResponsibilities(
 }
 
 iuad::Status MixtureModel::Fit(const std::vector<std::vector<double>>& gammas) {
-  if (gammas.empty()) {
-    return iuad::Status::InvalidArgument("EM: no training vectors");
-  }
+  // Validate before InitialResponsibilities, which indexes every vector up
+  // to the configured dimension.
+  IUAD_RETURN_NOT_OK(CheckGammas(gammas, config_.families.size()));
   return Fit(gammas, InitialResponsibilities(gammas));
 }
 
@@ -85,15 +103,9 @@ iuad::Status MixtureModel::Fit(const std::vector<std::vector<double>>& gammas,
                                const std::vector<double>& init_resp) {
   const size_t n = gammas.size();
   const size_t m = config_.families.size();
-  if (n == 0) return iuad::Status::InvalidArgument("EM: no training vectors");
+  IUAD_RETURN_NOT_OK(CheckGammas(gammas, m));
   if (init_resp.size() != n) {
     return iuad::Status::InvalidArgument("EM: init responsibilities size");
-  }
-  for (const auto& g : gammas) {
-    if (g.size() != m) {
-      return iuad::Status::InvalidArgument(
-          "EM: similarity vector dimension mismatch");
-    }
   }
 
   std::vector<double> resp = init_resp;  // l_j = P(r_j in M | ...)

@@ -21,9 +21,17 @@
 /// EM fit. With the exclusion, isolated vertices have empty features and
 /// kernel 0: no structural evidence. Requires h >= 1 for any signal.
 ///
-/// Refinement is run once on the whole graph (Shervashidze et al., JMLR'11);
-/// per-vertex features are then ball histograms, cached on first use.
+/// Refinement is run once on the whole graph (Shervashidze et al., JMLR'11).
+/// Per-vertex features are ball histograms stored flat: a label-sorted run
+/// of (label, integer count) pairs plus the cached self-kernel, filled on
+/// first use or in bulk by PrewarmFeatures. The kernel is a merge-join of
+/// two runs. Every count, product and partial sum is an integer far below
+/// 2^53, so the double it ends up in is exact whatever the summation order:
+/// the kernel values are byte-identical to any other exact evaluation of
+/// Eq. 3-4 (DESIGN.md §5, §6).
 
+#include <cstdint>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -37,11 +45,12 @@ namespace iuad::graph {
 class WlVertexKernel {
  public:
   /// Runs h rounds of label refinement over the alive subgraph.
-  /// h = 0 degenerates to bag-of-neighbor-names. When `pool` is given, each
-  /// round's signature pass (neighbor-label gathering + sort) runs across
-  /// its workers; compressed label ids are still assigned in a sequential
-  /// sweep in vertex order, so labels are byte-identical at any thread
-  /// count (and to the serial build).
+  /// h = 0 leaves every ball empty (the center is excluded), so every
+  /// kernel is 0. When `pool` is given, each round's signature pass
+  /// (neighbor-label gathering + sort) runs across its workers; compressed
+  /// label ids are still assigned in a sequential sweep in vertex order, so
+  /// labels are byte-identical at any thread count (and to the serial
+  /// build).
   WlVertexKernel(const CollabGraph& graph, int h,
                  util::ThreadPool* pool = nullptr);
 
@@ -61,11 +70,13 @@ class WlVertexKernel {
   double NormalizedKernelVsNameSet(VertexId v,
                                    const std::vector<std::string>& names) const;
 
-  /// Populates the lazy per-vertex feature cache for every vertex in `vs`
-  /// (balls are computed concurrently on `pool` when given, committed to
-  /// the cache sequentially). After the call, Kernel/NormalizedKernel over
-  /// prewarmed vertices are pure reads and safe to invoke from many
-  /// threads. Unknown / post-build vertex ids are ignored.
+  /// Populates the lazy per-vertex feature cache for every vertex in `vs`.
+  /// With a pool, each worker computes a strided slice of the (sorted,
+  /// deduplicated) vertex list — so the few large hub balls spread across
+  /// workers — and writes each ball straight into its vertex's slot. After
+  /// the call, Kernel/NormalizedKernel over prewarmed vertices are pure
+  /// reads and safe to invoke from many threads. Unknown / post-build
+  /// vertex ids are ignored.
   void PrewarmFeatures(const std::vector<VertexId>& vs,
                        util::ThreadPool* pool = nullptr) const;
 
@@ -78,11 +89,23 @@ class WlVertexKernel {
   int depth() const { return h_; }
 
  private:
-  /// Sparse feature map of the h-hop ball of v (label -> count), cached.
-  const std::unordered_map<int, double>& FeaturesOf(VertexId v) const;
+  /// One entry of a ball histogram: a WL label and how often it occurs.
+  struct LabelCount {
+    int label;
+    int count;
+  };
+  /// φ⟨h⟩(v) as a label-sorted run plus its self-kernel K(v, v).
+  struct BallFeatures {
+    std::vector<LabelCount> runs;
+    double self_kernel = 0.0;
+  };
+
+  /// The h-hop ball features of v, cached; empty for post-build vertices.
+  const BallFeatures& FeaturesOf(VertexId v) const;
   /// The cache-free computation behind FeaturesOf (safe to run in
-  /// parallel for distinct vertices: reads graph_ / labels_ only).
-  std::unordered_map<int, double> ComputeFeatures(VertexId v) const;
+  /// parallel for distinct vertices: reads graph_ / labels_ only, and
+  /// keeps its BFS buffers per thread).
+  BallFeatures ComputeFeatures(VertexId v) const;
 
   const CollabGraph& graph_;
   int h_;
@@ -92,8 +115,10 @@ class WlVertexKernel {
   /// the isolated-vertex kernel. Keyed by util::NameId: names are resolved
   /// through the graph's interner, so no strings are hashed after build.
   std::unordered_map<util::NameId, int> name_labels_;
-  mutable std::vector<std::unordered_map<int, double>> feature_cache_;
-  mutable std::vector<bool> feature_cached_;
+  mutable std::vector<BallFeatures> feature_cache_;
+  /// One byte per vertex (not vector<bool>), so PrewarmFeatures workers
+  /// can mark distinct vertices without racing on shared words.
+  mutable std::vector<uint8_t> feature_cached_;
 };
 
 }  // namespace iuad::graph

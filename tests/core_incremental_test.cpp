@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cinttypes>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <sstream>
+#include <string>
+
 #include "core/incremental.h"
 #include "core/pipeline.h"
 #include "eval/evaluator.h"
@@ -153,6 +161,48 @@ TEST_F(IncrementalStreamTest, UnknownNameCreatesNewVertex) {
   const auto& g = result_->graph;
   EXPECT_TRUE(g.NeighborsOf((*assignments)[0].vertex)
                   .count((*assignments)[1].vertex) > 0);
+}
+
+/// One golden line per byline occurrence: stream position, name, owner
+/// vertex, created_new, num_candidates and the raw bits of best_score.
+std::string GoldenLine(size_t paper, const IncrementalAssignment& a) {
+  uint64_t bits = 0;
+  std::memcpy(&bits, &a.best_score, sizeof(bits));
+  char buf[256];
+  std::snprintf(buf, sizeof(buf), "%zu\t%s\t%d\t%d\t%d\t%016" PRIx64 "\n",
+                paper, a.name.c_str(), a.vertex, a.created_new ? 1 : 0,
+                a.num_candidates, bits);
+  return buf;
+}
+
+TEST_F(IncrementalStreamTest, SequentialScoreBitsMatchGolden) {
+  // Pins every assignment and best_score bit of sequential AddPaper over
+  // the 80-paper held-out stream at a refresh every 16 papers (five
+  // refreshes), so changes to the scoring stack (WL kernel, profiles, EM)
+  // are checked against recorded output, not only against themselves.
+  // On a mismatch the actual lines are written to the working directory;
+  // copy them over tests/golden/incremental_stream.tsv only when a score
+  // change is intended.
+  IuadConfig cfg = FastConfig();
+  cfg.incremental_refresh_interval = 16;
+  IncrementalDisambiguator inc(&history_, result_.get(), cfg);
+  std::string actual;
+  for (size_t i = 0; i < stream_.size(); ++i) {
+    auto assignments = inc.AddPaper(stream_[i]);
+    ASSERT_TRUE(assignments.ok()) << assignments.status().ToString();
+    for (const auto& a : *assignments) actual += GoldenLine(i, a);
+  }
+  const std::string path =
+      std::string(IUAD_GOLDEN_DIR) + "/incremental_stream.tsv";
+  std::ifstream in(path);
+  std::stringstream golden;
+  golden << in.rdbuf();
+  if (golden.str() != actual) {
+    std::ofstream("incremental_stream.actual.tsv") << actual;
+  }
+  ASSERT_TRUE(in.good() || in.eof()) << "missing golden file " << path;
+  EXPECT_EQ(golden.str(), actual)
+      << "sequential assignments diverged from " << path;
 }
 
 TEST_F(IncrementalStreamTest, RefreshIntervalTriggersRebuild) {

@@ -1,12 +1,21 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <map>
+#include <queue>
+#include <random>
+#include <string>
+#include <vector>
 
 #include "graph/collab_graph.h"
 #include "graph/components.h"
 #include "graph/triangles.h"
 #include "graph/union_find.h"
 #include "graph/wl_kernel.h"
+#include "util/thread_pool.h"
 
 namespace iuad::graph {
 namespace {
@@ -367,6 +376,188 @@ TEST(WlKernelTest, PostBuildVerticesHandledConservatively) {
   const VertexId late = g.AddVertex("A", {});  // added after Build
   EXPECT_DOUBLE_EQ(wl.NormalizedKernelVsNameSet(late, {"B"}), 0.0);
   EXPECT_DOUBLE_EQ(wl.NormalizedKernel(a, late), 0.0);
+}
+
+// --------------------- WL kernel exactness vs a reference ------------------
+
+uint64_t Bits(double x) {
+  uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+/// The ball histogram exactly as documented in wl_kernel.h, built the
+/// plainest way: BFS of radius h over the live adjacency, the center
+/// excluded, vertices with id >= built_n traversed but not counted, every
+/// iteration's label counted once per ball member.
+std::map<int, double> ReferenceBall(const CollabGraph& g,
+                                    const WlVertexKernel& wl, VertexId v,
+                                    int built_n) {
+  std::map<int, double> hist;
+  if (v >= built_n || !g.alive(v)) return hist;
+  std::map<VertexId, int> dist{{v, 0}};
+  std::queue<VertexId> q;
+  q.push(v);
+  while (!q.empty()) {
+    const VertexId u = q.front();
+    q.pop();
+    if (dist[u] >= wl.depth()) continue;
+    for (const auto& [w, papers] : g.NeighborsOf(u)) {
+      if (!dist.emplace(w, dist[u] + 1).second) continue;
+      q.push(w);
+      if (w >= built_n) continue;
+      for (int iter = 0; iter <= wl.depth(); ++iter) {
+        hist[wl.LabelAt(w, iter)] += 1.0;
+      }
+    }
+  }
+  return hist;
+}
+
+double ReferenceDot(const std::map<int, double>& a,
+                    const std::map<int, double>& b) {
+  double s = 0.0;
+  for (const auto& [label, count] : a) {
+    auto it = b.find(label);
+    if (it != b.end()) s += count * it->second;
+  }
+  return s;
+}
+
+/// A seeded random graph with a hub of degree 80, isolated vertices and a
+/// few merged-away (dead) vertices; names come from a small pool so
+/// same-name pairs and repeated labels are common.
+CollabGraph RandomKernelGraph(std::mt19937_64* rng,
+                              std::vector<std::string>* names) {
+  for (int i = 0; i < 40; ++i) names->push_back("N" + std::to_string(i));
+  CollabGraph g;
+  constexpr int kVertices = 260;
+  for (int i = 0; i < kVertices; ++i) {
+    g.AddVertex((*names)[(*rng)() % names->size()], {});
+  }
+  int paper = 0;
+  // Vertices [200, 260) stay isolated; the rest get ~2.5 edges each.
+  for (int e = 0; e < 500; ++e) {
+    const VertexId u = static_cast<VertexId>((*rng)() % 200);
+    const VertexId v = static_cast<VertexId>((*rng)() % 200);
+    if (u != v) {
+      EXPECT_TRUE(g.AddEdgePapers(u, v, {paper++}).ok());
+    }
+  }
+  const VertexId hub = 0;
+  for (VertexId v = 1; v <= 160; v += 2) {
+    EXPECT_TRUE(g.AddEdgePapers(hub, v, {paper++}).ok());
+  }
+  EXPECT_GT(g.DegreeOf(hub), 50);
+  EXPECT_TRUE(g.MergeVertices(10, 11).ok());
+  EXPECT_TRUE(g.MergeVertices(20, 21).ok());
+  return g;
+}
+
+/// Vertices and edges added after the kernel was built: new vertices wired
+/// to the hub, to each other and to old vertices, plus new edges between
+/// old vertices (visible to lazily computed balls).
+void GrowAfterBuild(CollabGraph* g, std::mt19937_64* rng,
+                    const std::vector<std::string>& names) {
+  const int built_n = g->num_vertices();
+  int paper = 100000;
+  for (int i = 0; i < 12; ++i) {
+    const VertexId late = g->AddVertex(
+        i % 3 == 0 ? "LateOnly" : names[(*rng)() % names.size()], {});
+    EXPECT_TRUE(g->AddEdgePapers(late, 0, {paper++}).ok());
+    const VertexId old = static_cast<VertexId>((*rng)() % 200);
+    if (g->alive(old)) {
+      EXPECT_TRUE(g->AddEdgePapers(late, old, {paper++}).ok());
+    }
+    if (i > 0) {
+      EXPECT_TRUE(g->AddEdgePapers(late, late - 1, {paper++}).ok());
+    }
+  }
+  for (int e = 0; e < 30; ++e) {
+    const VertexId u = static_cast<VertexId>((*rng)() % built_n);
+    const VertexId v = static_cast<VertexId>((*rng)() % built_n);
+    if (u != v && g->alive(u) && g->alive(v)) {
+      EXPECT_TRUE(g->AddEdgePapers(u, v, {paper++}).ok());
+    }
+  }
+}
+
+TEST(WlKernelTest, KernelsMatchReferenceHistogramsBitForBit) {
+  for (int h = 1; h <= 2; ++h) {
+    SCOPED_TRACE("h = " + std::to_string(h));
+    std::mt19937_64 rng(20210419 + static_cast<uint64_t>(h));
+    std::vector<std::string> names;
+    CollabGraph g = RandomKernelGraph(&rng, &names);
+    const int built_n = g.num_vertices();
+    WlVertexKernel lazy(g, h);
+    WlVertexKernel prewarmed(g, h);
+    GrowAfterBuild(&g, &rng, names);
+    const int n = g.num_vertices();
+    ASSERT_GT(n, built_n);
+
+    std::vector<VertexId> all(static_cast<size_t>(n));
+    for (VertexId v = 0; v < n; ++v) all[static_cast<size_t>(v)] = v;
+    util::ThreadPool pool(4);
+    prewarmed.PrewarmFeatures(all, &pool);
+
+    std::vector<std::map<int, double>> ref(static_cast<size_t>(n));
+    std::vector<double> self(static_cast<size_t>(n));
+    for (VertexId v = 0; v < n; ++v) {
+      ref[static_cast<size_t>(v)] = ReferenceBall(g, lazy, v, built_n);
+      self[static_cast<size_t>(v)] = ReferenceDot(ref[static_cast<size_t>(v)],
+                                                  ref[static_cast<size_t>(v)]);
+    }
+    EXPECT_GT(ref[0].size(), 50u) << "the hub's ball should be large";
+
+    for (VertexId u = 0; u < n; ++u) {
+      for (VertexId v = u; v < n; ++v) {
+        const auto su = static_cast<size_t>(u);
+        const auto sv = static_cast<size_t>(v);
+        const double k = ReferenceDot(ref[su], ref[sv]);
+        const double nk = self[su] <= 0.0 || self[sv] <= 0.0
+                              ? 0.0
+                              : k / std::sqrt(self[su] * self[sv]);
+        ASSERT_EQ(Bits(lazy.Kernel(u, v)), Bits(k)) << u << "," << v;
+        ASSERT_EQ(Bits(lazy.NormalizedKernel(u, v)), Bits(nk)) << u << "," << v;
+        ASSERT_EQ(Bits(lazy.NormalizedKernel(v, u)), Bits(nk)) << u << "," << v;
+        ASSERT_EQ(Bits(prewarmed.Kernel(u, v)), Bits(k)) << u << "," << v;
+        ASSERT_EQ(Bits(prewarmed.NormalizedKernel(u, v)), Bits(nk))
+            << u << "," << v;
+      }
+    }
+
+    // Iteration-0 label of each name, as the kernel's name-set scoring
+    // resolves it (names first seen after the build have none).
+    std::map<std::string, int, std::less<>> name_label;
+    for (VertexId v = 0; v < built_n; ++v) {
+      if (g.alive(v)) name_label[std::string(g.NameOf(v))] = lazy.LabelAt(v, 0);
+    }
+    for (VertexId v = 0; v < n; ++v) {
+      const auto sv = static_cast<size_t>(v);
+      std::vector<std::string> set;
+      const size_t len = 1 + rng() % 5;
+      for (size_t i = 0; i < len; ++i) set.push_back(names[rng() % names.size()]);
+      set.push_back(v % 2 == 0 ? "Nobody" : "LateOnly");
+      set.push_back(set.front());  // duplicates count twice
+      double cross = 0.0;
+      for (const auto& name : set) {
+        auto it = name_label.find(name);
+        if (it == name_label.end()) continue;
+        auto hit = ref[sv].find(it->second);
+        if (hit != ref[sv].end()) cross += hit->second;
+      }
+      const double expected =
+          ref[sv].empty() || self[sv] <= 0.0
+              ? 0.0
+              : std::min(1.0, cross / std::sqrt(static_cast<double>(set.size()) *
+                                                self[sv]));
+      ASSERT_EQ(Bits(lazy.NormalizedKernelVsNameSet(v, set)), Bits(expected))
+          << v;
+      ASSERT_EQ(Bits(prewarmed.NormalizedKernelVsNameSet(v, set)),
+                Bits(expected))
+          << v;
+    }
+  }
 }
 
 }  // namespace
