@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build everything (library, tests, bench,
-# examples, CLI), run the full test suite. This is the merge gate.
+# examples, CLI), run the full test suite, then build the perfbench
+# benchmark and run its tests. This is the merge gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -51,6 +52,18 @@ fi
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 (cd "$BUILD_DIR" && ctest --output-on-failure -j "$(nproc)")
 
+# The benchmark of record (perfbench/, BENCHMARK.json) builds the library
+# from this checkout with its own CMake project, so an src/ API change can
+# break it without breaking the build above. Configure it into its own tree
+# (inside the build directory, same preset flags), build the benchmark
+# binary and its tests, and run the tests.
+PERFBENCH_DIR="$BUILD_DIR/perfbench"
+cmake -B "$PERFBENCH_DIR" -S perfbench "${CMAKE_EXTRA[@]}"
+cmake --build "$PERFBENCH_DIR" -j "$(nproc)" \
+  --target iuad_perfbench perfbench_test
+"./$PERFBENCH_DIR/perfbench_test"
+echo "perfbench build + perfbench_test: OK"
+
 # Snapshot persistence smoke: a pipeline run saved with --save-snapshot must
 # reload cleanly into the serving path and ingest a stream (end-to-end check
 # of src/io + the one-shard ShardRouter through the CLI, beyond the unit
@@ -67,8 +80,8 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "snapshot save/load smoke: OK"
 
 # Sharded-serving smoke: the same snapshot serves through the 4-shard
-# ShardRouter, checkpoints the post-ingestion state on stop (snapshot v2 +
-# post-ingestion corpus), and that checkpoint must reload cleanly — the
+# ShardRouter, checkpoints the post-ingestion state on stop (a 4-section
+# snapshot + post-ingestion corpus), and that checkpoint must reload cleanly — the
 # fit-once / serve / checkpoint / resume loop through the CLI.
 "./$BUILD_DIR"/iuad_main serve "$SMOKE_DIR/corpus.tsv" \
   --load-snapshot "$SMOKE_DIR/corpus.snap" \
@@ -270,12 +283,11 @@ diff <(grep '"op":"query_authors"' "$SMOKE_DIR/out6.txt") \
      <(grep '"op":"query_authors"' "$SMOKE_DIR/out7.txt")
 echo "WAL kill -9 / recover smoke: OK"
 
-# Optional bench trajectories (BENCH_stages.json, BENCH_ingest.json,
-# BENCH_shard.json, BENCH_api.json, BENCH_wal.json). Off by default to
-# keep CI time bounded; set IUAD_RUN_BENCH=1 to record them.
+# Optional bench trajectories (BENCH_stages.json, BENCH_shard.json,
+# BENCH_api.json, BENCH_wal.json). Off by default to keep CI time bounded;
+# set IUAD_RUN_BENCH=1 to record them.
 if [[ "${IUAD_RUN_BENCH:-0}" == "1" ]]; then
   scripts/bench_stages.sh
-  scripts/bench_ingest.sh
   scripts/bench_shard.sh
   scripts/bench_api.sh
   scripts/bench_wal.sh

@@ -33,7 +33,7 @@
 ///       newline-delimited JSON until SIGINT/SIGTERM; --stdio speaks the
 ///       same protocol over stdin/stdout until EOF (the CI-scriptable
 ///       transport). --save-snapshot-on-stop persists the post-ingestion
-///       state (snapshot format v2) once the service drains — pair it with
+///       state (a snapshot) once the service drains — pair it with
 ///       --save-corpus, which writes the post-ingestion corpus TSV the new
 ///       snapshot fingerprints against, to make the state reloadable. This
 ///       is the demo shape of the long-running system: fit once, reload in

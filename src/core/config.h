@@ -134,9 +134,9 @@ struct IuadConfig {
   // --- Sharded serving (src/shard) ---------------------------------------
   /// Shard count of the shard::ShardRouter serving front end; 1 (the
   /// default) scores every byline on one shard. Also the shard-section count
-  /// of snapshot format v2 payloads (src/io), so a snapshot saved by an
-  /// N-shard service loads its sections in parallel. Assignments are
-  /// byte-identical at every value. CLI flag: --shards on `serve`.
+  /// of a saved snapshot (src/io), so a snapshot saved by an N-shard service
+  /// loads its sections in parallel. Assignments are byte-identical at every
+  /// value. CLI flag: --shards on `serve`.
   int num_shards = 1;
   /// Block→shard placement policy (see ShardPlacement).
   ShardPlacement shard_placement = ShardPlacement::kSizeAware;

@@ -57,40 +57,6 @@ VertexId CollabGraph::AddVertexWithId(util::NameId name_id,
 }
 
 iuad::Result<CollabGraph> CollabGraph::Restore(
-    std::vector<VertexRecord> vertices, const std::vector<EdgeRecord>& edges) {
-  CollabGraph g;
-  const auto n = static_cast<VertexId>(vertices.size());
-  g.vertices_.reserve(vertices.size());
-  for (VertexId v = 0; v < n; ++v) {
-    VertexRecord& rec = vertices[static_cast<size_t>(v)];
-    const util::NameId id = g.interner_.Intern(rec.name);
-    if (static_cast<size_t>(id) >= g.verts_of_name_.size()) {
-      g.verts_of_name_.resize(static_cast<size_t>(id) + 1);
-    }
-    g.Deduplicate(&rec.papers);
-    g.vertices_.push_back(Vertex{id, std::move(rec.papers), rec.alive});
-    g.row_begin_.push_back(0);
-    g.overflow_.emplace_back();
-    g.live_degree_.push_back(0);
-    if (rec.alive) {
-      g.verts_of_name_[static_cast<size_t>(id)].push_back(v);
-      ++g.num_alive_;
-    }
-  }
-  for (const EdgeRecord& e : edges) {
-    if (e.u < 0 || e.v < 0 || e.u >= n || e.v >= n) {
-      return iuad::Status::InvalidArgument("graph restore: edge endpoint " +
-                                           std::to_string(e.u) + "-" +
-                                           std::to_string(e.v) +
-                                           " out of range");
-    }
-    IUAD_RETURN_NOT_OK(g.AddEdgePapers(e.u, e.v, e.papers));
-  }
-  g.Compact();
-  return g;
-}
-
-iuad::Result<CollabGraph> CollabGraph::Restore(
     const std::vector<std::string>& names, std::vector<Vertex> vertices,
     const std::vector<EdgeRecord>& edges) {
   CollabGraph g;

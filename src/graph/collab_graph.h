@@ -47,14 +47,6 @@ struct Vertex {
   bool alive = true;
 };
 
-/// Serialization-boundary vertex (snapshot formats that predate the
-/// interner table store names inline).
-struct VertexRecord {
-  std::string name;
-  std::vector<int> papers;
-  bool alive = true;
-};
-
 /// One serialized edge: endpoints (u < v) plus the shared paper set.
 struct EdgeRecord {
   VertexId u = -1;
@@ -167,22 +159,19 @@ class CollabGraph {
   VertexId AddVertex(std::string_view name, std::vector<int> papers);
 
   /// AddVertex for a name already interned in this graph (id-preserving
-  /// fast path: vertex splitting, snapshot v3 load).
+  /// fast path: vertex splitting).
   VertexId AddVertexWithId(util::NameId name_id, std::vector<int> papers);
 
   /// Rebuilds a graph from serialized parts (snapshot load, src/io):
-  /// `vertices` in id order — dead (merged-away) vertices included, so ids
-  /// land exactly where they were — and `edges` between alive endpoints.
-  /// The name index lists alive vertices in ascending id order, which is
-  /// the order organic construction produces (AddVertex appends, merges
-  /// erase), so VerticesWithName tie-breaking behaves identically to the
-  /// never-serialized graph. Fails on out-of-range endpoints, self-loops,
-  /// and edges touching dead vertices. The restored adjacency is compacted.
-  static iuad::Result<CollabGraph> Restore(
-      std::vector<VertexRecord> vertices, const std::vector<EdgeRecord>& edges);
-
-  /// Interned restore (snapshot v3): `names[i]` is the string of NameId i;
-  /// vertices reference the table through Vertex::name_id.
+  /// `names[i]` is the string of NameId i, `vertices` reference it through
+  /// Vertex::name_id and come in id order — dead (merged-away) vertices
+  /// included, so ids land exactly where they were — and `edges` run
+  /// between alive endpoints. The name index lists alive vertices in
+  /// ascending id order, which is the order organic construction produces
+  /// (AddVertex appends, merges erase), so VerticesWithName tie-breaking
+  /// behaves identically to the never-serialized graph. Fails on a
+  /// duplicate name, out-of-range name ids or endpoints, self-loops, and
+  /// edges touching dead vertices. The restored adjacency is compacted.
   static iuad::Result<CollabGraph> Restore(
       const std::vector<std::string>& names, std::vector<Vertex> vertices,
       const std::vector<EdgeRecord>& edges);

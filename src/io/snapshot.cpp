@@ -28,15 +28,15 @@ namespace {
 constexpr char kMagic[8] = {'I', 'U', 'A', 'D', 'S', 'N', 'A', 'P'};
 constexpr size_t kHeaderSize = 40;  // magic + version + fp + size + 2 checksums
 
-/// v2 section kinds (the table's `kind` field).
+/// Section kinds (the table's `kind` field).
 constexpr uint32_t kSectionCommon = 0;
 constexpr uint32_t kSectionShard = 1;
-/// One v2 section-table entry: kind u32 + size u64 + checksum u64.
+/// One section-table entry: kind u32 + size u64 + checksum u64.
 constexpr size_t kSectionEntrySize = 20;
 
 // ---- Section: config ------------------------------------------------------
 
-void WriteConfig(const core::IuadConfig& c, uint32_t version, Writer* w) {
+void WriteConfig(const core::IuadConfig& c, Writer* w) {
   w->I64(c.eta);
   w->Bool(c.triangle_gated_insertion);
   w->I32(c.wl_iterations);
@@ -70,17 +70,15 @@ void WriteConfig(const core::IuadConfig& c, uint32_t version, Writer* w) {
   w->U64(c.seed);
   w->I32(c.ingest_queue_capacity);
   w->I32(c.ingest_refresh_window);
-  if (version >= 2) {
-    w->I32(c.num_shards);
-    w->U8(static_cast<uint8_t>(c.shard_placement));
-    w->I32(c.em.num_threads);
-  }
+  w->I32(c.num_shards);
+  w->U8(static_cast<uint8_t>(c.shard_placement));
+  w->I32(c.em.num_threads);
   // snapshot_path / persist_snapshot are runtime knobs of the *saving*
   // process, not properties of the fitted state; pair_label_oracle is a
   // std::function and cannot round-trip. None are serialized.
 }
 
-core::IuadConfig ReadConfig(uint32_t version, Reader* r) {
+core::IuadConfig ReadConfig(Reader* r) {
   core::IuadConfig c;
   c.eta = r->I64();
   c.triangle_gated_insertion = r->Bool();
@@ -118,12 +116,9 @@ core::IuadConfig ReadConfig(uint32_t version, Reader* r) {
   c.seed = r->U64();
   c.ingest_queue_capacity = r->I32();
   c.ingest_refresh_window = r->I32();
-  if (version >= 2) {
-    c.num_shards = r->I32();
-    c.shard_placement = static_cast<core::ShardPlacement>(r->U8());
-    c.em.num_threads = r->I32();
-  }
-  // Fields unknown to version (v1 files): IuadConfig defaults stand.
+  c.num_shards = r->I32();
+  c.shard_placement = static_cast<core::ShardPlacement>(r->U8());
+  c.em.num_threads = r->I32();
   return c;
 }
 
@@ -172,73 +167,6 @@ iuad::Result<text::Word2Vec> ReadEmbeddings(const text::Word2VecConfig& cfg,
   IUAD_RETURN_NOT_OK(r->status());
   return text::Word2Vec::Restore(cfg, std::move(vocab), std::move(vectors),
                                  final_lr, trained_tokens);
-}
-
-// ---- Section: graph (v1 monolithic form) ----------------------------------
-
-void WriteGraph(const graph::CollabGraph& g, Writer* w) {
-  w->U64(static_cast<uint64_t>(g.num_vertices()));
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    const graph::Vertex& vx = g.vertex(v);
-    w->Str(g.NameOf(v));
-    w->Bool(vx.alive);
-    w->IntVec(vx.papers);
-  }
-  const std::vector<graph::EdgeRecord> edges = g.Edges();
-  w->U64(edges.size());
-  for (const auto& e : edges) {
-    w->I32(e.u);
-    w->I32(e.v);
-    w->IntVec(e.papers);
-  }
-}
-
-iuad::Result<graph::CollabGraph> ReadGraph(Reader* r) {
-  const uint64_t n = r->U64();
-  std::vector<graph::VertexRecord> vertices;
-  for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    graph::VertexRecord vx;
-    vx.name = r->Str();
-    vx.alive = r->Bool();
-    vx.papers = r->IntVec();
-    vertices.push_back(std::move(vx));
-  }
-  const uint64_t m = r->U64();
-  std::vector<graph::EdgeRecord> edges;
-  for (uint64_t i = 0; i < m && r->ok(); ++i) {
-    graph::EdgeRecord e;
-    e.u = r->I32();
-    e.v = r->I32();
-    e.papers = r->IntVec();
-    edges.push_back(std::move(e));
-  }
-  IUAD_RETURN_NOT_OK(r->status());
-  return graph::CollabGraph::Restore(std::move(vertices), edges);
-}
-
-// ---- Section: occurrences (v1 monolithic form) ----------------------------
-
-void WriteOccurrences(const core::OccurrenceIndex& idx, Writer* w) {
-  const auto entries = idx.Entries();
-  w->U64(entries.size());
-  for (const auto& e : entries) {
-    w->I32(e.paper_id);
-    w->Str(e.name);
-    w->I32(e.vertex);
-  }
-}
-
-iuad::Result<core::OccurrenceIndex> ReadOccurrences(Reader* r) {
-  core::OccurrenceIndex idx;
-  const uint64_t n = r->U64();
-  for (uint64_t i = 0; i < n && r->ok(); ++i) {
-    const int paper_id = r->I32();
-    const std::string name = r->Str();
-    const graph::VertexId vertex = r->I32();
-    idx.AssignIfAbsent(paper_id, name, vertex);
-  }
-  IUAD_RETURN_NOT_OK(r->status());
-  return idx;
 }
 
 // ---- Section: model -------------------------------------------------------
@@ -376,22 +304,19 @@ void ReadStats(Reader* r, core::DisambiguationResult* res) {
   res->gcn_seconds = r->F64();
 }
 
-// ---- v2/v3 section assembly -----------------------------------------------
+// ---- Section assembly -----------------------------------------------------
 
 /// Common section: everything global — config, the total vertex count the
-/// shard-slice merge pre-sizes with, (v3) the interned author-name table,
+/// shard-slice merge pre-sizes with, the interned author-name table,
 /// embeddings, fitted model, and stats.
 std::string BuildCommonSection(const core::DisambiguationResult& result,
-                               const core::IuadConfig& config,
-                               uint32_t version) {
+                               const core::IuadConfig& config) {
   Writer w;
-  WriteConfig(config, version, &w);
+  WriteConfig(config, &w);
   w.U64(static_cast<uint64_t>(result.graph.num_vertices()));
-  if (version >= 3) {
-    const util::StringInterner& names = result.graph.interner();
-    w.U64(static_cast<uint64_t>(names.size()));
-    for (util::NameId id = 0; id < names.size(); ++id) w.Str(names.View(id));
-  }
+  const util::StringInterner& names = result.graph.interner();
+  w.U64(static_cast<uint64_t>(names.size()));
+  for (util::NameId id = 0; id < names.size(); ++id) w.Str(names.View(id));
   WriteEmbeddings(result.embeddings, &w);
   WriteModel(result.model.get(), &w);
   WriteStats(result, &w);
@@ -436,8 +361,7 @@ std::vector<ShardBucket> BucketByShard(
 }
 
 std::string BuildShardSection(const core::DisambiguationResult& result,
-                              int s, const ShardBucket& bucket,
-                              uint32_t version) {
+                              int s, const ShardBucket& bucket) {
   const graph::CollabGraph& g = result.graph;
   Writer w;
   w.U32(static_cast<uint32_t>(s));
@@ -445,11 +369,7 @@ std::string BuildShardSection(const core::DisambiguationResult& result,
   for (graph::VertexId v : bucket.vertices) {
     const graph::Vertex& vx = g.vertex(v);
     w.U32(static_cast<uint32_t>(v));
-    if (version >= 3) {
-      w.I32(vx.name_id);
-    } else {
-      w.Str(g.NameOf(v));
-    }
+    w.I32(vx.name_id);
     w.Bool(vx.alive);
     w.IntVec(vx.papers);
   }
@@ -462,26 +382,20 @@ std::string BuildShardSection(const core::DisambiguationResult& result,
   w.U64(bucket.occurrences.size());
   for (const core::OccurrenceIndex::Entry* e : bucket.occurrences) {
     w.I32(e->paper_id);
-    if (version >= 3) {
-      // Occurrence names are vertex names in every normal run; the id=-1
-      // escape keeps the format total if one ever isn't interned.
-      const util::NameId id = g.interner().Lookup(e->name);
-      w.I32(id);
-      if (id == util::kInvalidNameId) w.Str(e->name);
-    } else {
-      w.Str(e->name);
-    }
+    // Occurrence names are vertex names in every normal run; the id=-1
+    // escape keeps the format total if one ever isn't interned.
+    const util::NameId id = g.interner().Lookup(e->name);
+    w.I32(id);
+    if (id == util::kInvalidNameId) w.Str(e->name);
     w.I32(e->vertex);
   }
   return w.buffer();
 }
 
-/// Parsed-but-unmerged content of one shard section. v2 fills `name`
-/// (string per vertex); v3 fills `name_id` (table reference).
+/// Parsed-but-unmerged content of one shard section.
 struct SliceVertex {
   uint32_t id = 0;
   util::NameId name_id = util::kInvalidNameId;
-  std::string name;
   bool alive = true;
   std::vector<int> papers;
 };
@@ -493,7 +407,7 @@ struct ShardSlice {
 };
 
 iuad::Result<ShardSlice> ParseShardSection(
-    const char* data, size_t size, uint32_t version,
+    const char* data, size_t size,
     const std::vector<std::string>& name_table) {
   Reader r(data, size);
   ShardSlice slice;
@@ -502,11 +416,7 @@ iuad::Result<ShardSlice> ParseShardSection(
   for (uint64_t i = 0; i < nv && r.ok(); ++i) {
     SliceVertex vx;
     vx.id = r.U32();
-    if (version >= 3) {
-      vx.name_id = r.I32();
-    } else {
-      vx.name = r.Str();
-    }
+    vx.name_id = r.I32();
     vx.alive = r.Bool();
     vx.papers = r.IntVec();
     slice.vertices.push_back(std::move(vx));
@@ -523,18 +433,14 @@ iuad::Result<ShardSlice> ParseShardSection(
   for (uint64_t i = 0; i < no && r.ok(); ++i) {
     core::OccurrenceIndex::Entry e;
     e.paper_id = r.I32();
-    if (version >= 3) {
-      const util::NameId id = r.I32();
-      if (id == util::kInvalidNameId) {
-        e.name = r.Str();
-      } else if (static_cast<size_t>(id) < name_table.size()) {
-        e.name = name_table[static_cast<size_t>(id)];
-      } else {
-        return iuad::Status::IoError(
-            "occurrence name id outside the snapshot name table");
-      }
-    } else {
+    const util::NameId id = r.I32();
+    if (id == util::kInvalidNameId) {
       e.name = r.Str();
+    } else if (static_cast<size_t>(id) < name_table.size()) {
+      e.name = name_table[static_cast<size_t>(id)];
+    } else {
+      return iuad::Status::IoError(
+          "occurrence name id outside the snapshot name table");
     }
     e.vertex = r.I32();
     slice.occurrences.push_back(std::move(e));
@@ -546,25 +452,24 @@ iuad::Result<ShardSlice> ParseShardSection(
   return slice;
 }
 
-std::string BuildHeader(uint32_t version, uint64_t fingerprint,
-                        const std::string& payload, uint64_t check_field) {
+std::string BuildHeader(uint64_t fingerprint, const std::string& payload,
+                        uint64_t table_checksum) {
   Writer header;
   header.Bytes(kMagic, sizeof(kMagic));
-  header.U32(version);
+  header.U32(kSnapshotFormatVersion);
   header.U64(fingerprint);
   header.U64(payload.size());
-  header.U64(check_field);
+  header.U64(table_checksum);
   header.U32(static_cast<uint32_t>(
       Fnv1a(header.buffer().data(), header.buffer().size())));
   return header.buffer();
 }
 
-// ---- v2/v3 load -----------------------------------------------------------
+// ---- Load -----------------------------------------------------------------
 
-iuad::Result<Snapshot> LoadSectioned(const std::string& path,
-                                     uint32_t version, const char* payload,
-                                     size_t payload_size,
-                                     uint64_t table_checksum) {
+iuad::Result<Snapshot> LoadSections(const std::string& path,
+                                    const char* payload, size_t payload_size,
+                                    uint64_t table_checksum) {
   // Section table.
   if (payload_size < sizeof(uint32_t)) {
     return iuad::Status::IoError(path + ": snapshot payload truncated");
@@ -645,16 +550,14 @@ iuad::Result<Snapshot> LoadSectioned(const std::string& path,
   std::vector<std::string> name_table;
   {
     Reader r(sections[0].data, sections[0].size);
-    snap.config = ReadConfig(version, &r);
+    snap.config = ReadConfig(&r);
     IUAD_RETURN_NOT_OK(r.status());
     num_vertices = r.U64();
-    if (version >= 3) {
-      const uint64_t num_names = r.U64();
-      name_table.reserve(
-          static_cast<size_t>(std::min<uint64_t>(num_names, 1u << 16)));
-      for (uint64_t i = 0; i < num_names && r.ok(); ++i) {
-        name_table.push_back(r.Str());
-      }
+    const uint64_t num_names = r.U64();
+    name_table.reserve(
+        static_cast<size_t>(std::min<uint64_t>(num_names, 1u << 16)));
+    for (uint64_t i = 0; i < num_names && r.ok(); ++i) {
+      name_table.push_back(r.Str());
     }
     IUAD_ASSIGN_OR_RETURN(snap.result.embeddings,
                           ReadEmbeddings(snap.config.word2vec, &r));
@@ -675,7 +578,7 @@ iuad::Result<Snapshot> LoadSectioned(const std::string& path,
   }
   pool.ParallelFor(num_slices, [&](size_t i) {
     slices[i] = ParseShardSection(sections[i + 1].data, sections[i + 1].size,
-                                  version, name_table);
+                                  name_table);
   });
   for (size_t i = 0; i < num_slices; ++i) {
     if (!slices[i].ok()) {
@@ -686,17 +589,21 @@ iuad::Result<Snapshot> LoadSectioned(const std::string& path,
   }
 
   // Deterministic merge: vertices land by explicit id, edges and
-  // occurrences re-sort into the canonical v1 orders.
+  // occurrences re-sort into canonical (u, v) and (paper, name) order. The
+  // vertex count is checked against the records actually present before it
+  // sizes anything; with that equal, every id in range and none repeated,
+  // no id can be missing.
   if (num_vertices > (1u << 30)) {
     return iuad::Status::IoError(path + ": implausible snapshot vertex count");
   }
-  std::vector<graph::VertexRecord> v2_vertices;
-  std::vector<graph::Vertex> v3_vertices;
-  if (version >= 3) {
-    v3_vertices.resize(num_vertices);
-  } else {
-    v2_vertices.resize(num_vertices);
+  uint64_t num_records = 0;
+  for (const auto& slice : slices) num_records += slice->vertices.size();
+  if (num_records != num_vertices) {
+    return iuad::Status::IoError(
+        path + ": snapshot holds " + std::to_string(num_records) +
+        " vertex records for " + std::to_string(num_vertices) + " vertices");
   }
+  std::vector<graph::Vertex> vertices(num_vertices);
   std::vector<uint8_t> seen(num_vertices, 0);
   std::vector<graph::EdgeRecord> edges;
   std::vector<core::OccurrenceIndex::Entry> occurrences;
@@ -707,45 +614,26 @@ iuad::Result<Snapshot> LoadSectioned(const std::string& path,
             path + ": snapshot shard sections disagree on vertex ids");
       }
       seen[vx.id] = 1;
-      if (version >= 3) {
-        if (vx.name_id < 0 ||
-            static_cast<size_t>(vx.name_id) >= name_table.size()) {
-          return iuad::Status::IoError(
-              path + ": vertex name id outside the snapshot name table");
-        }
-        v3_vertices[vx.id] =
-            graph::Vertex{vx.name_id, std::move(vx.papers), vx.alive};
-      } else {
-        v2_vertices[vx.id] = graph::VertexRecord{std::move(vx.name),
-                                                 std::move(vx.papers),
-                                                 vx.alive};
+      if (vx.name_id < 0 ||
+          static_cast<size_t>(vx.name_id) >= name_table.size()) {
+        return iuad::Status::IoError(
+            path + ": vertex name id outside the snapshot name table");
       }
+      vertices[vx.id] =
+          graph::Vertex{vx.name_id, std::move(vx.papers), vx.alive};
     }
     std::move(slice->edges.begin(), slice->edges.end(),
               std::back_inserter(edges));
     std::move(slice->occurrences.begin(), slice->occurrences.end(),
               std::back_inserter(occurrences));
   }
-  for (uint64_t v = 0; v < num_vertices; ++v) {
-    if (!seen[v]) {
-      return iuad::Status::IoError(path + ": snapshot is missing vertex " +
-                                   std::to_string(v));
-    }
-  }
   std::sort(edges.begin(), edges.end(),
             [](const graph::EdgeRecord& a, const graph::EdgeRecord& b) {
               return a.u != b.u ? a.u < b.u : a.v < b.v;
             });
-  if (version >= 3) {
-    IUAD_ASSIGN_OR_RETURN(
-        snap.result.graph,
-        graph::CollabGraph::Restore(name_table, std::move(v3_vertices),
-                                    edges));
-  } else {
-    IUAD_ASSIGN_OR_RETURN(snap.result.graph,
-                          graph::CollabGraph::Restore(std::move(v2_vertices),
-                                                      edges));
-  }
+  IUAD_ASSIGN_OR_RETURN(
+      snap.result.graph,
+      graph::CollabGraph::Restore(name_table, std::move(vertices), edges));
   std::sort(occurrences.begin(), occurrences.end(),
             [](const core::OccurrenceIndex::Entry& a,
                const core::OccurrenceIndex::Entry& b) {
@@ -758,70 +646,16 @@ iuad::Result<Snapshot> LoadSectioned(const std::string& path,
   return snap;
 }
 
-// ---- v1 load (legacy monolithic payload) ----------------------------------
-
-iuad::Result<Snapshot> LoadV1(const std::string& path, const char* payload,
-                              size_t payload_size) {
-  Reader r(payload, payload_size);
-  Snapshot snap;
-  snap.config = ReadConfig(kSnapshotFormatV1, &r);
-  IUAD_RETURN_NOT_OK(r.status());
-  IUAD_ASSIGN_OR_RETURN(snap.result.embeddings,
-                        ReadEmbeddings(snap.config.word2vec, &r));
-  IUAD_ASSIGN_OR_RETURN(snap.result.graph, ReadGraph(&r));
-  IUAD_ASSIGN_OR_RETURN(snap.result.occurrences, ReadOccurrences(&r));
-  IUAD_ASSIGN_OR_RETURN(snap.result.model, ReadModel(snap.config, &r));
-  ReadStats(&r, &snap.result);
-  IUAD_RETURN_NOT_OK(r.status());
-  if (!r.exhausted()) {
-    return iuad::Status::IoError(path + ": trailing bytes after snapshot");
-  }
-  return snap;
-}
-
 }  // namespace
 
 iuad::Status SaveSnapshot(const std::string& path,
                           const data::PaperDatabase& db,
                           const core::DisambiguationResult& result,
                           const core::IuadConfig& config) {
-  return SaveSnapshot(path, db, result, config, SnapshotWriteOptions{});
-}
-
-iuad::Status SaveSnapshot(const std::string& path,
-                          const data::PaperDatabase& db,
-                          const core::DisambiguationResult& result,
-                          const core::IuadConfig& config,
-                          const SnapshotWriteOptions& options) {
-  if (options.format_version == kSnapshotFormatV1) {
-    Writer payload;
-    WriteConfig(config, kSnapshotFormatV1, &payload);
-    WriteEmbeddings(result.embeddings, &payload);
-    WriteGraph(result.graph, &payload);
-    WriteOccurrences(result.occurrences, &payload);
-    WriteModel(result.model.get(), &payload);
-    WriteStats(result, &payload);
-    const std::string& body = payload.buffer();
-    return WriteFileDurably(
-        path,
-        BuildHeader(kSnapshotFormatV1, db.Fingerprint(), body,
-                    Fnv1a(body.data(), body.size())),
-        body);
-  }
-  if (options.format_version != kSnapshotFormatVersion &&
-      options.format_version != kSnapshotFormatV2) {
-    return iuad::Status::InvalidArgument(
-        "snapshot: unsupported write version " +
-        std::to_string(options.format_version));
-  }
-  const uint32_t version = options.format_version;
-
-  // v2/v3: common section + one slice per shard, sectioned with the same
-  // placement the serving router uses so a shard's state is one contiguous
-  // checksummed span.
-  int num_shards = options.num_shard_sections > 0 ? options.num_shard_sections
-                                                  : config.num_shards;
-  if (num_shards < 1) num_shards = 1;
+  // Common section + one slice per shard, sectioned with the same placement
+  // the serving router uses so a shard's state is one contiguous checksummed
+  // span.
+  const int num_shards = std::max(config.num_shards, 1);
   const shard::BlockPlacement placement = shard::BlockPlacement::Build(
       result.graph, num_shards, config.shard_placement);
   const std::vector<graph::EdgeRecord> edges = result.graph.Edges();
@@ -830,11 +664,10 @@ iuad::Status SaveSnapshot(const std::string& path,
       BucketByShard(result, placement, edges, occurrences);
 
   std::vector<std::string> blobs;
-  blobs.push_back(BuildCommonSection(result, config, version));
+  blobs.push_back(BuildCommonSection(result, config));
   for (int s = 0; s < num_shards; ++s) {
-    blobs.push_back(BuildShardSection(result, s,
-                                      buckets[static_cast<size_t>(s)],
-                                      version));
+    blobs.push_back(
+        BuildShardSection(result, s, buckets[static_cast<size_t>(s)]));
   }
 
   Writer table;
@@ -849,7 +682,7 @@ iuad::Status SaveSnapshot(const std::string& path,
 
   return WriteFileDurably(
       path,
-      BuildHeader(version, db.Fingerprint(), body,
+      BuildHeader(db.Fingerprint(), body,
                   Fnv1a(table.buffer().data(), table.buffer().size())),
       body);
 }
@@ -876,19 +709,17 @@ iuad::Result<Snapshot> LoadSnapshot(const std::string& path,
   const uint32_t version = header.U32();
   const uint64_t fingerprint = header.U64();
   const uint64_t payload_size = header.U64();
-  const uint64_t check_field = header.U64();
+  const uint64_t table_checksum = header.U64();
   const uint32_t header_checksum = header.U32();
   if (static_cast<uint32_t>(Fnv1a(bytes.data(), kHeaderSize - sizeof(uint32_t))) !=
       header_checksum) {
     return iuad::Status::IoError(path + ": snapshot header checksum mismatch");
   }
-  if (version != kSnapshotFormatVersion && version != kSnapshotFormatV2 &&
-      version != kSnapshotFormatV1) {
+  if (version != kSnapshotFormatVersion) {
     return iuad::Status::InvalidArgument(
         path + ": unsupported snapshot format version " +
-        std::to_string(version) + " (this build reads versions " +
-        std::to_string(kSnapshotFormatV1) + " through " +
-        std::to_string(kSnapshotFormatVersion) + ")");
+        std::to_string(version) + " (this build reads version " +
+        std::to_string(kSnapshotFormatVersion) + " only)");
   }
   if (bytes.size() - kHeaderSize != payload_size) {
     return iuad::Status::IoError(path + ": snapshot payload truncated");
@@ -899,16 +730,8 @@ iuad::Result<Snapshot> LoadSnapshot(const std::string& path,
                "(fingerprint mismatch); load it next to the database it was "
                "fitted on");
   }
-
-  if (version == kSnapshotFormatV1) {
-    if (Fnv1a(bytes.data() + kHeaderSize, payload_size) != check_field) {
-      return iuad::Status::IoError(path +
-                                   ": snapshot payload checksum mismatch");
-    }
-    return LoadV1(path, bytes.data() + kHeaderSize, payload_size);
-  }
-  return LoadSectioned(path, version, bytes.data() + kHeaderSize,
-                       payload_size, check_field);
+  return LoadSections(path, bytes.data() + kHeaderSize, payload_size,
+                      table_checksum);
 }
 
 }  // namespace iuad::io

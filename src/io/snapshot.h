@@ -7,14 +7,9 @@
 /// (Sec. V-E): fit once, save, and any later process reloads the model in
 /// milliseconds instead of re-running the two-stage pipeline.
 ///
-/// Format v3 (written by default) adds an interned author-name table to
-/// the common section: every distinct name is stored exactly once and
-/// vertex records reference it by dense i32 id, matching the in-memory
-/// util::StringInterner representation of graph::CollabGraph.
-///
-/// Format v2 shards the payload by name block so a
-/// large corpus never needs one contiguous checksummed payload: the graph
-/// slice, occurrence slice, and read-side state of each serving shard
+/// One format, version 3. The payload is sharded by name block so a large
+/// corpus never needs one contiguous checksummed payload: the graph slice,
+/// occurrence slice, and read-side state of each serving shard
 /// (shard/placement.h decides ownership, so sections mirror the
 /// shard::ShardRouter partition) live in their own independently
 /// checksummed section, and sections are verified and parsed in parallel
@@ -24,42 +19,45 @@
 ///   offset  field
 ///   ------  ---------------------------------------------------------
 ///   0       magic "IUADSNAP" (8 bytes)
-///   8       format version (u32)
+///   8       format version (u32, kSnapshotFormatVersion)
 ///   12      corpus fingerprint (u64, PaperDatabase::Fingerprint)
 ///   20      payload size in bytes (u64, everything after the header)
-///   28      v2: section-table checksum / v1: payload checksum (u64, FNV-1a)
+///   28      section-table checksum (u64, FNV-1a)
 ///   36      header checksum (u32, FNV-1a over bytes [0, 36))
-///   40      v2: section table — num_sections (u32), then per section
+///   40      section table — num_sections (u32), then per section
 ///           {kind u32, size u64, checksum u64} — followed by the section
 ///           payloads back-to-back in table order.
-///           v1: one contiguous payload (config | embeddings | graph |
-///           occurrences | model | stats).
 ///
-/// v2 sections: kind 0 = common (config, embeddings, fitted model, stats,
-/// global vertex count), kind 1 = shard slice (owned vertices with explicit
-/// ids, owned edges, owned occurrence assignments). Corruption of one
-/// section is detected by that section's checksum and reported by section
-/// index without poisoning the others (pinned in tests/snapshot_test.cpp).
+/// Sections: kind 0 = common (config, global vertex count, the interned
+/// author-name table, embeddings, fitted model, stats), kind 1 = shard
+/// slice (owned vertices with explicit ids, owned edges, owned occurrence
+/// assignments). Every distinct author name is stored once, in the common
+/// section's table; vertex records and occurrence entries reference it by
+/// dense i32 id, matching the in-memory util::StringInterner layout of
+/// graph::CollabGraph. Corruption of one section is detected by that
+/// section's checksum and reported by section index without poisoning the
+/// others (pinned in tests/snapshot_test.cpp).
 ///
-/// LoadSnapshot reads all three versions: v1 files load through the legacy
-/// monolithic parser and v2 files through the sectioned parser (names are
-/// interned on read), so snapshots written before the name-table format
-/// keep working. Verification order: magic, header checksum, format version,
-/// payload size, then the corpus fingerprint against the caller's
-/// PaperDatabase (the O(1) pairing check — a snapshot is only meaningful
-/// next to the exact corpus it was fitted on — comes before any payload
-/// pass), then the table/section (v2) or payload (v1) checksums.
-/// Corruption surfaces as IoError, foreign files and unknown versions as
-/// InvalidArgument, and a wrong corpus as FailedPrecondition.
+/// Verification order: magic, header checksum, format version, payload
+/// size, then the corpus fingerprint against the caller's PaperDatabase
+/// (the O(1) pairing check — a snapshot is only meaningful next to the
+/// exact corpus it was fitted on — comes before any payload pass), then the
+/// table and section checksums. FNV-1a is computed over public bytes, so
+/// the parser does not trust a file that passes them: name ids must fall
+/// inside the name table, vertex ids must cover [0, vertex count) exactly
+/// once, and the name table must hold no duplicate. Corruption and
+/// structurally hostile files surface as IoError (a duplicate name-table
+/// entry as InvalidArgument from graph::CollabGraph::Restore), foreign
+/// files and any other version as InvalidArgument, and a wrong corpus as
+/// FailedPrecondition.
 ///
 /// Round-trip contract (pinned by tests/snapshot_test.cpp): feeding the
 /// same paper stream through IncrementalDisambiguator::AddPaper on a
 /// reloaded snapshot produces byte-identical assignments to the
-/// never-serialized in-memory result — at either format version. Two
-/// deliberate omissions: IuadConfig::pair_label_oracle (a std::function)
-/// does not survive and is null after load, and the word2vec training-side
-/// state (context vectors, negative table) is dropped — the embeddings
-/// serve lookups only.
+/// never-serialized in-memory result. Two deliberate omissions:
+/// IuadConfig::pair_label_oracle (a std::function) does not survive and is
+/// null after load, and the word2vec training-side state (context vectors,
+/// negative table) is dropped — the embeddings serve lookups only.
 
 #include <cstdint>
 #include <string>
@@ -71,19 +69,8 @@
 
 namespace iuad::io {
 
-/// Format version written by default. v3 keeps the v2 sectioned container
-/// but stores author names once, in an interned name table in the common
-/// section; shard-slice vertex records (and occurrence entries whose name
-/// is in the table) reference names by dense i32 id instead of repeating
-/// the string, mirroring the in-memory util::StringInterner layout.
+/// The one format version SaveSnapshot writes and LoadSnapshot reads.
 constexpr uint32_t kSnapshotFormatVersion = 3;
-/// The sectioned format with per-vertex name strings; still readable and
-/// writable on request (SnapshotWriteOptions) for compatibility tooling
-/// and tests.
-constexpr uint32_t kSnapshotFormatV2 = 2;
-/// The legacy monolithic-payload format; still readable, writable on
-/// request (SnapshotWriteOptions) for compatibility tooling and tests.
-constexpr uint32_t kSnapshotFormatV1 = 1;
 
 /// A reloaded snapshot: the fitted state plus the configuration it was
 /// built with.
@@ -92,30 +79,17 @@ struct Snapshot {
   core::IuadConfig config;
 };
 
-/// Writer knobs for SaveSnapshot.
-struct SnapshotWriteOptions {
-  /// kSnapshotFormatVersion, kSnapshotFormatV2, or kSnapshotFormatV1;
-  /// anything else is InvalidArgument.
-  uint32_t format_version = kSnapshotFormatVersion;
-  /// v2/v3 shard-section count; 0 means config.num_shards. Ignored for v1.
-  int num_shard_sections = 0;
-};
-
 /// Writes `result` (+ the config that produced it) to `path`, stamped with
-/// `db`'s fingerprint. Overwrites an existing file.
+/// `db`'s fingerprint, with one shard section per config.num_shards (at
+/// least one). Overwrites an existing file.
 iuad::Status SaveSnapshot(const std::string& path,
                           const data::PaperDatabase& db,
                           const core::DisambiguationResult& result,
                           const core::IuadConfig& config);
-iuad::Status SaveSnapshot(const std::string& path,
-                          const data::PaperDatabase& db,
-                          const core::DisambiguationResult& result,
-                          const core::IuadConfig& config,
-                          const SnapshotWriteOptions& options);
 
-/// Reads a snapshot written by SaveSnapshot (either format version) and
-/// rebuilds the full DisambiguationResult against `db` (which must
-/// fingerprint-match the database the snapshot was saved with).
+/// Reads a snapshot written by SaveSnapshot and rebuilds the full
+/// DisambiguationResult against `db` (which must fingerprint-match the
+/// database the snapshot was saved with).
 iuad::Result<Snapshot> LoadSnapshot(const std::string& path,
                                     const data::PaperDatabase& db);
 

@@ -14,8 +14,8 @@
 /// Placement is pure load balancing: scoring is deterministic wherever it
 /// runs, so assignments never depend on the policy, the shard count, or
 /// which process owns a block. Both the shard router (src/shard) and the
-/// sharded snapshot sections (src/io, format v2) use this map, so a
-/// snapshot's shard sections mirror the serving partition.
+/// sharded snapshot sections (src/io) use this map, so a snapshot's shard
+/// sections mirror the serving partition.
 
 #include <cstdint>
 #include <string>

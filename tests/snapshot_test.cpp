@@ -3,7 +3,8 @@
 /// saved — same graph, same attribution, same fitted parameters, and (the
 /// property that matters for serving) byte-identical incremental
 /// assignments for any held-out paper stream. Plus the rejection paths:
-/// corruption, foreign files, unknown versions, wrong corpus.
+/// corruption, foreign files, other versions, wrong corpus, and hostile
+/// files whose checksums were restamped to pass.
 
 #include <gtest/gtest.h>
 
@@ -15,6 +16,7 @@
 
 #include "core/incremental.h"
 #include "core/pipeline.h"
+#include "io/byte_codec.h"
 #include "io/snapshot.h"
 #include "testing_utils.h"
 
@@ -42,16 +44,6 @@ std::string ReadFileBytes(const std::string& path) {
 void WriteFileBytes(const std::string& path, const std::string& bytes) {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-}
-
-uint64_t Fnv1a(const void* data, size_t n) {
-  uint64_t h = 1469598103934665603ULL;
-  const auto* p = static_cast<const unsigned char*>(data);
-  for (size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ULL;
-  }
-  return h;
 }
 
 /// Pipeline + holdout fixture shared by the round-trip tests.
@@ -265,10 +257,19 @@ TEST_F(SnapshotRejectionTest, ForeignFileIsRejected) {
 }
 
 TEST_F(SnapshotRejectionTest, VersionMismatchIsRejected) {
-  PatchVersion(kSnapshotFormatVersion + 7);
-  auto r = LoadSnapshot(path_, db_);
-  ASSERT_FALSE(r.ok());
-  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  // 1 and 2 are the retired monolithic and inline-name formats: a file
+  // stamped with either is as foreign as a future version.
+  for (uint32_t version : {1u, 2u, kSnapshotFormatVersion + 7}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    PatchVersion(version);
+    auto r = LoadSnapshot(path_, db_);
+    ASSERT_FALSE(r.ok());
+    EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(r.status().message().find(
+                  "reads version " + std::to_string(kSnapshotFormatVersion)),
+              std::string::npos)
+        << r.status().ToString();
+  }
 }
 
 TEST_F(SnapshotRejectionTest, WrongCorpusIsRejected) {
@@ -286,9 +287,9 @@ TEST_F(SnapshotRejectionTest, MissingFileIsIoError) {
   EXPECT_EQ(r.status().code(), StatusCode::kIoError);
 }
 
-// --------------------------- Format v2 (sharded sections) -------------------
+// --------------------------- Sharded sections ------------------------------
 
-/// Byte offsets of every v2 section, recovered from the on-disk table:
+/// Byte offsets of every section, recovered from the on-disk table:
 /// {offset, size} per section, in table order.
 std::vector<std::pair<size_t, size_t>> SectionSpansOf(
     const std::string& bytes) {
@@ -305,10 +306,10 @@ std::vector<std::pair<size_t, size_t>> SectionSpansOf(
   return spans;
 }
 
-TEST(SnapshotV2Test, MultiShardSectionsRoundTripExactly) {
+TEST(SnapshotSectionTest, MultiShardSectionsRoundTripExactly) {
   Fitted f = FitOn(50);
   f.config.num_shards = 3;  // 1 common + 3 shard sections
-  const std::string path = TempPath("v2_sharded.snap");
+  const std::string path = TempPath("sharded.snap");
   ASSERT_TRUE(SaveSnapshot(path, f.history, f.result, f.config).ok());
   const std::string bytes = ReadFileBytes(path);
   uint32_t version = 0;
@@ -343,10 +344,10 @@ TEST(SnapshotV2Test, MultiShardSectionsRoundTripExactly) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV2Test, CorruptingAnySingleSectionIsDetectedAndNamed) {
+TEST(SnapshotSectionTest, CorruptingAnySingleSectionIsDetectedAndNamed) {
   Fitted f = FitOn(51, 10);
   f.config.num_shards = 3;
-  const std::string path = TempPath("v2_corrupt.snap");
+  const std::string path = TempPath("section_corrupt.snap");
   ASSERT_TRUE(SaveSnapshot(path, f.history, f.result, f.config).ok());
   const std::string pristine = ReadFileBytes(path);
   const auto spans = SectionSpansOf(pristine);
@@ -374,9 +375,9 @@ TEST(SnapshotV2Test, CorruptingAnySingleSectionIsDetectedAndNamed) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV2Test, CorruptedSectionTableIsRejected) {
+TEST(SnapshotSectionTest, CorruptedSectionTableIsRejected) {
   Fitted f = FitOn(52, 10);
-  const std::string path = TempPath("v2_table.snap");
+  const std::string path = TempPath("section_table.snap");
   ASSERT_TRUE(SaveSnapshot(path, f.history, f.result, f.config).ok());
   std::string corrupt = ReadFileBytes(path);
   corrupt[44] ^= 0x5a;  // inside the section table (first entry's kind)
@@ -388,75 +389,270 @@ TEST(SnapshotV2Test, CorruptedSectionTableIsRejected) {
   std::remove(path.c_str());
 }
 
-TEST(SnapshotV2Test, LegacyV1FilesStillLoadAndIngestIdentically) {
-  Fitted f = FitOn(53);
-  const std::string path = TempPath("legacy_v1.snap");
-  SnapshotWriteOptions v1;
-  v1.format_version = kSnapshotFormatV1;
-  ASSERT_TRUE(SaveSnapshot(path, f.history, f.result, f.config, v1).ok());
-  const std::string bytes = ReadFileBytes(path);
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  ASSERT_EQ(version, kSnapshotFormatV1);
+// --------------------------- Hostile files past the checksums --------------
 
-  auto loaded = LoadSnapshot(path, f.history);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // Fields the v1 format predates fall back to their defaults.
-  EXPECT_EQ(loaded->config.num_shards, 1);
-  ExpectSameGraph(f.result.graph, loaded->result.graph);
-  data::PaperDatabase db_mem = f.history;
-  data::PaperDatabase db_load = f.history;
-  const auto mem = IngestAll(&db_mem, &f.result, f.config, f.stream);
-  const auto rel =
-      IngestAll(&db_load, &loaded->result, loaded->config, f.stream);
-  ASSERT_EQ(mem.size(), rel.size());
-  for (size_t i = 0; i < mem.size(); ++i) {
-    EXPECT_EQ(mem[i].vertex, rel[i].vertex);
-    EXPECT_EQ(mem[i].best_score, rel[i].best_score);
+/// A snapshot cut into its header and sections. Restamp() reassembles it
+/// with the payload size, every section checksum, the table checksum and
+/// the header checksum recomputed. FNV-1a is computed over public bytes, so
+/// any writer can do the same: only the parser's structural checks stand
+/// between such a file and the graph.
+struct SectionedFile {
+  std::string header;  ///< The 40 header bytes as read.
+  std::vector<uint32_t> kinds;
+  std::vector<std::string> sections;
+
+  static SectionedFile Split(const std::string& bytes) {
+    SectionedFile f;
+    f.header = bytes.substr(0, 40);
+    for (const auto& [at, size] : SectionSpansOf(bytes)) {
+      uint32_t kind = 0;
+      std::memcpy(&kind, bytes.data() + 44 + f.kinds.size() * 20,
+                  sizeof(kind));
+      f.kinds.push_back(kind);
+      f.sections.push_back(bytes.substr(at, size));
+    }
+    return f;
   }
-  std::remove(path.c_str());
+
+  std::string Restamp() const {
+    Writer table;
+    table.U32(static_cast<uint32_t>(sections.size()));
+    for (size_t i = 0; i < sections.size(); ++i) {
+      table.U32(kinds[i]);
+      table.U64(sections[i].size());
+      table.U64(Fnv1a(sections[i].data(), sections[i].size()));
+    }
+    std::string body = table.buffer();
+    for (const std::string& s : sections) body += s;
+    Writer head;
+    head.Bytes(header.data(), 20);  // magic, version, corpus fingerprint
+    head.U64(body.size());
+    head.U64(Fnv1a(table.buffer().data(), table.buffer().size()));
+    head.U32(static_cast<uint32_t>(
+        Fnv1a(head.buffer().data(), head.buffer().size())));
+    return head.buffer() + body;
+  }
+};
+
+/// One shard section, decoded field by field so a test can rewrite any
+/// record and encode it back.
+struct SliceImage {
+  struct VertexRec {
+    uint32_t id = 0;
+    int32_t name_id = 0;
+    bool alive = true;
+    std::vector<int> papers;
+  };
+  struct EdgeRec {
+    int32_t u = 0, v = 0;
+    std::vector<int> papers;
+  };
+  struct OccurrenceRec {
+    int32_t paper_id = 0;
+    int32_t name_id = 0;
+    std::string name;  ///< Only when name_id is -1.
+    int32_t vertex = 0;
+  };
+  uint32_t shard = 0;
+  std::vector<VertexRec> vertices;
+  std::vector<EdgeRec> edges;
+  std::vector<OccurrenceRec> occurrences;
+
+  static SliceImage Decode(const std::string& bytes) {
+    Reader r(bytes.data(), bytes.size());
+    SliceImage s;
+    s.shard = r.U32();
+    s.vertices.resize(r.U64());
+    for (auto& v : s.vertices) {
+      v.id = r.U32();
+      v.name_id = r.I32();
+      v.alive = r.Bool();
+      v.papers = r.IntVec();
+    }
+    s.edges.resize(r.U64());
+    for (auto& e : s.edges) {
+      e.u = r.I32();
+      e.v = r.I32();
+      e.papers = r.IntVec();
+    }
+    s.occurrences.resize(r.U64());
+    for (auto& o : s.occurrences) {
+      o.paper_id = r.I32();
+      o.name_id = r.I32();
+      if (o.name_id == -1) o.name = r.Str();
+      o.vertex = r.I32();
+    }
+    EXPECT_TRUE(r.ok() && r.exhausted());
+    return s;
+  }
+
+  std::string Encode() const {
+    Writer w;
+    w.U32(shard);
+    w.U64(vertices.size());
+    for (const auto& v : vertices) {
+      w.U32(v.id);
+      w.I32(v.name_id);
+      w.Bool(v.alive);
+      w.IntVec(v.papers);
+    }
+    w.U64(edges.size());
+    for (const auto& e : edges) {
+      w.I32(e.u);
+      w.I32(e.v);
+      w.IntVec(e.papers);
+    }
+    w.U64(occurrences.size());
+    for (const auto& o : occurrences) {
+      w.I32(o.paper_id);
+      w.I32(o.name_id);
+      if (o.name_id == -1) w.Str(o.name);
+      w.I32(o.vertex);
+    }
+    return w.buffer();
+  }
+};
+
+/// The common section's vertex count and name table, which sit back to
+/// back: u64 vertex count, u64 name count, then the length-prefixed names.
+std::string NameTableBytes(uint64_t num_vertices,
+                           const std::vector<std::string>& names) {
+  Writer w;
+  w.U64(num_vertices);
+  w.U64(names.size());
+  for (const std::string& name : names) w.Str(name);
+  return w.buffer();
 }
 
-TEST(SnapshotV2Test, LegacyV2FilesStillLoadAndIngestIdentically) {
-  // v2 predates the interned name table: vertex names are inline strings.
-  // A v2 file must load into the interner-backed graph and then ingest a
-  // held-out stream byte-identically to the never-serialized result.
-  Fitted f = FitOn(55);
-  f.config.num_shards = 2;  // exercise the sharded sections too
-  const std::string path = TempPath("legacy_v2.snap");
-  SnapshotWriteOptions v2;
-  v2.format_version = kSnapshotFormatV2;
-  ASSERT_TRUE(SaveSnapshot(path, f.history, f.result, f.config, v2).ok());
-  const std::string bytes = ReadFileBytes(path);
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 8, sizeof(version));
-  ASSERT_EQ(version, kSnapshotFormatV2);
-
-  auto loaded = LoadSnapshot(path, f.history);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->config.num_shards, 2);
-  ExpectSameGraph(f.result.graph, loaded->result.graph);
-  data::PaperDatabase db_mem = f.history;
-  data::PaperDatabase db_load = f.history;
-  const auto mem = IngestAll(&db_mem, &f.result, f.config, f.stream);
-  const auto rel =
-      IngestAll(&db_load, &loaded->result, loaded->config, f.stream);
-  ASSERT_EQ(mem.size(), rel.size());
-  for (size_t i = 0; i < mem.size(); ++i) {
-    EXPECT_EQ(mem[i].vertex, rel[i].vertex);
-    EXPECT_EQ(mem[i].best_score, rel[i].best_score);
+class SnapshotHostileTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    fitted_ = FitOn(56, 10);
+    fitted_.config.num_shards = 3;  // 1 common + 3 shard sections
+    path_ = TempPath("hostile.snap");
+    ASSERT_TRUE(
+        SaveSnapshot(path_, fitted_.history, fitted_.result, fitted_.config)
+            .ok());
+    pristine_ = SectionedFile::Split(ReadFileBytes(path_));
+    ASSERT_EQ(pristine_.sections.size(), 4u);
+    // The helpers must reproduce the writer's bytes before any mutation
+    // can mean anything.
+    ASSERT_EQ(pristine_.Restamp(), ReadFileBytes(path_));
+    for (size_t i = 1; i < 4; ++i) {
+      slices_.push_back(SliceImage::Decode(pristine_.sections[i]));
+      ASSERT_EQ(slices_.back().Encode(), pristine_.sections[i]);
+      ASSERT_FALSE(slices_.back().vertices.empty());
+      ASSERT_FALSE(slices_.back().occurrences.empty());
+    }
+    const util::StringInterner& interner = fitted_.result.graph.interner();
+    for (util::NameId id = 0; id < interner.size(); ++id) {
+      names_.emplace_back(interner.View(id));
+    }
+    ASSERT_GE(names_.size(), 2u);
+    const std::string table =
+        NameTableBytes(fitted_.result.graph.num_vertices(), names_);
+    table_at_ = pristine_.sections[0].find(table);
+    ASSERT_NE(table_at_, std::string::npos);
+    table_size_ = table.size();
   }
-  std::remove(path.c_str());
+
+  void TearDown() override { std::remove(path_.c_str()); }
+
+  /// Rewrites shard slice `i` (0-based over the shard sections).
+  SectionedFile WithSlice(size_t i, const SliceImage& slice) const {
+    SectionedFile f = pristine_;
+    f.sections[i + 1] = slice.Encode();
+    return f;
+  }
+
+  /// Rewrites the common section's vertex count and name table.
+  SectionedFile WithNameTable(uint64_t num_vertices,
+                              const std::vector<std::string>& names) const {
+    SectionedFile f = pristine_;
+    f.sections[0].replace(table_at_, table_size_,
+                          NameTableBytes(num_vertices, names));
+    return f;
+  }
+
+  /// Loads the restamped file: it must fail with a Status, never crash,
+  /// and name the check that tripped.
+  void ExpectRejected(const SectionedFile& f, const std::string& why) {
+    WriteFileBytes(path_, f.Restamp());
+    auto r = LoadSnapshot(path_, fitted_.history);
+    ASSERT_FALSE(r.ok());
+    EXPECT_NE(r.status().message().find(why), std::string::npos)
+        << r.status().ToString();
+  }
+
+  Fitted fitted_;
+  std::string path_;
+  SectionedFile pristine_;
+  std::vector<SliceImage> slices_;
+  std::vector<std::string> names_;
+  size_t table_at_ = 0;
+  size_t table_size_ = 0;
+};
+
+TEST_F(SnapshotHostileTest, RestampedPristineFileLoads) {
+  WriteFileBytes(path_, pristine_.Restamp());
+  EXPECT_TRUE(LoadSnapshot(path_, fitted_.history).ok());
 }
 
-TEST(SnapshotV2Test, UnsupportedWriteVersionIsRejected) {
-  Fitted f = FitOn(54, 5);
-  SnapshotWriteOptions opts;
-  opts.format_version = 99;
-  auto st = SaveSnapshot(TempPath("never.snap"), f.history, f.result,
-                         f.config, opts);
-  ASSERT_FALSE(st.ok());
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+TEST_F(SnapshotHostileTest, VertexNameIdPastTheNameTableIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(names_.size()), int32_t{1} << 30,
+                      int32_t{-2}}) {
+    SCOPED_TRACE("name id " + std::to_string(bad));
+    SliceImage slice = slices_[0];
+    slice.vertices[0].name_id = bad;
+    ExpectRejected(WithSlice(0, slice),
+                   "vertex name id outside the snapshot name table");
+  }
+}
+
+TEST_F(SnapshotHostileTest, OccurrenceNameIdOutsideTheNameTableIsRejected) {
+  for (int32_t bad : {static_cast<int32_t>(names_.size()), int32_t{-2}}) {
+    SCOPED_TRACE("name id " + std::to_string(bad));
+    SliceImage slice = slices_[1];
+    slice.occurrences[0].name_id = bad;
+    ExpectRejected(WithSlice(1, slice),
+                   "occurrence name id outside the snapshot name table");
+  }
+}
+
+TEST_F(SnapshotHostileTest, SameVertexIdInTwoShardSectionsIsRejected) {
+  SliceImage slice = slices_[2];
+  slice.vertices[0].id = slices_[0].vertices[0].id;
+  ExpectRejected(WithSlice(2, slice), "disagree on vertex ids");
+}
+
+TEST_F(SnapshotHostileTest, VertexIdPastTheVertexCountIsRejected) {
+  SliceImage slice = slices_[1];
+  slice.vertices[0].id =
+      static_cast<uint32_t>(fitted_.result.graph.num_vertices());
+  ExpectRejected(WithSlice(1, slice), "disagree on vertex ids");
+}
+
+TEST_F(SnapshotHostileTest, MissingVertexIdIsRejected) {
+  SliceImage slice = slices_[0];
+  slice.vertices.erase(slice.vertices.begin());
+  ExpectRejected(WithSlice(0, slice), "vertex records for");
+}
+
+TEST_F(SnapshotHostileTest, VertexCountBeyondTheRecordsIsRejected) {
+  // At the plausibility bound a count still passes that check; it must be
+  // refused before it sizes any buffer.
+  ExpectRejected(WithNameTable(uint64_t{1} << 30, names_),
+                 "vertex records for");
+  ExpectRejected(WithNameTable((uint64_t{1} << 30) + 1, names_),
+                 "implausible snapshot vertex count");
+}
+
+TEST_F(SnapshotHostileTest, DuplicateNameTableEntryIsRejected) {
+  std::vector<std::string> names = names_;
+  names[1] = names[0];
+  ExpectRejected(
+      WithNameTable(fitted_.result.graph.num_vertices(), names),
+      "duplicate entry in interned name table");
 }
 
 }  // namespace
