@@ -4,8 +4,7 @@
 /// Shared setup for the reproduction benches: one standard synthetic corpus
 /// (the DBLP stand-in, DESIGN.md §2) and the evaluation-name protocol of
 /// Sec. VI-A1. Every bench prints the paper's published value next to the
-/// measured one so the *shape* comparison is immediate; EXPERIMENTS.md
-/// records the full picture.
+/// measured one so the *shape* comparison is immediate.
 
 #include <cstdio>
 #include <string>

@@ -77,6 +77,6 @@ int main() {
   std::printf(
       "shape check: both slopes negative and the pair-frequency law is the\n"
       "steeper of the two, as in the paper. Absolute slopes depend on corpus\n"
-      "scale (641k papers there vs 20k here); see EXPERIMENTS.md.\n");
+      "scale (641k papers there vs 20k here); see DESIGN.md §2.\n");
   return 0;
 }

@@ -137,10 +137,10 @@ int main() {
   std::printf(
       "shape check: IUAD beats every unsupervised baseline on MicroF and\n"
       "GHOST (structure-only) is the weakest, matching the paper. Known\n"
-      "divergence (EXPERIMENTS.md): the supervised pair classifiers tie or\n"
-      "slightly exceed IUAD here because the synthetic corpus's co-author\n"
-      "overlap feature is cleaner than real DBLP's — names of co-authors are\n"
-      "themselves ambiguous in reality, which is what drags the published\n"
-      "supervised precision down to ~0.69-0.75.\n");
+      "divergence: the supervised pair classifiers tie or slightly exceed\n"
+      "IUAD here because the synthetic corpus's co-author overlap feature\n"
+      "is cleaner than real DBLP's — names of co-authors are themselves\n"
+      "ambiguous in reality, which is what drags the published supervised\n"
+      "precision down to ~0.69-0.75 (corpus substitution: DESIGN.md §2).\n");
   return 0;
 }

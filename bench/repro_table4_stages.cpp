@@ -3,110 +3,17 @@
 /// The paper's signature result: recall jumps (+0.374 there) while precision
 /// barely moves (-0.005), because stage 1 only asserts stable relations and
 /// stage 2 merges the same-name fragments the evidence supports.
-///
-/// Also the per-stage timing harness behind scripts/bench_stages.sh: with
-/// `--json out.json [--threads N]` the full pipeline is run at 1 and N
-/// worker threads and the per-stage seconds (embed = word2vec training,
-/// scn = stage 1, gcn = WL refinement + candidate generation + γ scoring +
-/// EM + merges) are written as BENCH_stages.json. Outputs are identical at
-/// both thread counts by construction; only the wall-clock moves.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "eval/evaluator.h"
 #include "eval/table_printer.h"
-#include "util/json_writer.h"
-#include "util/memory.h"
-#include "util/thread_pool.h"
 
 using namespace iuad;
 
-namespace {
-
-struct StageSeconds {
-  double embed = 0.0;
-  double scn = 0.0;
-  double gcn = 0.0;
-  size_t graph_bytes = 0;  // fitted CollabGraph footprint
-  int num_alive = 0;
-  double total() const { return embed + scn + gcn; }
-};
-
-bool TimeStages(const data::Corpus& corpus, int num_threads,
-                StageSeconds* out) {
-  core::IuadConfig cfg = bench::BenchIuadConfig();
-  cfg.num_threads = num_threads;
-  auto result = core::IuadPipeline(cfg).Run(corpus.db);
-  if (!result.ok()) {
-    std::fprintf(stderr, "timing run (%d threads) failed: %s\n", num_threads,
-                 result.status().ToString().c_str());
-    return false;
-  }
-  out->embed = result->embed_seconds;
-  out->scn = result->scn_seconds;
-  out->gcn = result->gcn_seconds;
-  out->graph_bytes = result->graph.MemoryBytes();
-  out->num_alive = result->graph.num_alive();
-  return true;
-}
-
-bool WriteStagesJson(const std::string& path, int papers, int threads,
-                     const StageSeconds& serial, const StageSeconds& par) {
-  auto speedup = [](double a, double b) { return b > 0.0 ? a / b : 0.0; };
-  util::JsonWriter json;
-  json.Field("bench", "repro_table4_stages")
-      .Field("papers", papers)
-      .Field("threads_serial", 1)
-      .Field("threads_parallel", threads);
-  json.BeginObject("stages");
-  const struct {
-    const char* name;
-    double s, p;
-  } rows[] = {{"embed", serial.embed, par.embed},
-              {"scn", serial.scn, par.scn},
-              {"gcn", serial.gcn, par.gcn}};
-  for (const auto& row : rows) {
-    json.BeginObject(row.name)
-        .Field("serial_s", row.s)
-        .Field("parallel_s", row.p)
-        .Field("speedup", speedup(row.s, row.p), 3)
-        .EndObject();
-  }
-  json.EndObject();
-  json.BeginObject("total")
-      .Field("serial_s", serial.total())
-      .Field("parallel_s", par.total())
-      .Field("speedup", speedup(serial.total(), par.total()), 3)
-      .EndObject();
-  json.BeginObject("memory")
-      .Field("rss_mb", util::CurrentRssMb(), 1)
-      .Field("graph_bytes", static_cast<int64_t>(par.graph_bytes))
-      .Field("num_alive_authors", par.num_alive)
-      .Field("bytes_per_author",
-             par.num_alive > 0 ? static_cast<double>(par.graph_bytes) /
-                                     static_cast<double>(par.num_alive)
-                               : 0.0,
-             1)
-      .EndObject();
-  return json.WriteFile(path).ok();
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  int threads = 0;  // 0 = hardware concurrency
-  std::string json_path;
-  for (int i = 1; i + 1 < argc; i += 2) {
-    if (std::strcmp(argv[i], "--threads") == 0) threads = std::atoi(argv[i + 1]);
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
-  threads = util::ResolveNumThreads(threads);
-
+int main() {
   bench::PrintHeader("repro_table4_stages", "Table IV — effect of two stages");
   auto corpus = bench::BenchCorpus();
   const auto names = corpus.TestNames(2);
@@ -145,24 +52,5 @@ int main(int argc, char** argv) {
   std::printf(
       "shape check: the largest improvement is MicroR and precision is ~flat\n"
       "(the paper's two 'paramount findings' for this table).\n");
-
-  // ---- Per-stage wall-clock at 1 vs. N threads (BENCH_stages.json). ------
-  StageSeconds serial, par;
-  if (!TimeStages(corpus, 1, &serial) || !TimeStages(corpus, threads, &par)) {
-    return 1;  // never record a zeroed data point in the BENCH_* trajectory
-  }
-  std::printf(
-      "\nstage seconds (1 thread vs %d): embed %.3f/%.3f  scn %.3f/%.3f  "
-      "gcn %.3f/%.3f  total %.3f/%.3f\n",
-      threads, serial.embed, par.embed, serial.scn, par.scn, serial.gcn,
-      par.gcn, serial.total(), par.total());
-  if (!json_path.empty()) {
-    if (!WriteStagesJson(json_path, corpus.db.num_papers(), threads, serial,
-                         par)) {
-      std::fprintf(stderr, "failed to write %s\n", json_path.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", json_path.c_str());
-  }
   return 0;
 }

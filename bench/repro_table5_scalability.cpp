@@ -94,7 +94,7 @@ int main() {
       "reading guide: IUAD's column is its FULL two-stage network\n"
       "reconstruction amortized over the test names (one build answers every\n"
       "name); it grows mildly with scale, the paper's scalability claim.\n"
-      "CAVEAT (EXPERIMENTS.md): the published ANON/NetE/Aminer costs are\n"
+      "CAVEAT (DESIGN.md §2): the published ANON/NetE/Aminer costs are\n"
       "dominated by per-ego-network embedding training, which the hashing\n"
       "substitution of DESIGN.md removes by design — their rows here only\n"
       "time clustering, so cross-method absolute comparisons are not\n"

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification: configure, build everything (library, tests, bench,
-# examples, CLI), run the full test suite, then build the perfbench
-# benchmark and run its tests. This is the merge gate.
+# examples, CLI), run the full test suite, build the perfbench benchmark
+# and run its tests, then smoke bench_serving and the CLI. This is the
+# merge gate.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -63,6 +64,14 @@ cmake --build "$PERFBENCH_DIR" -j "$(nproc)" \
   --target iuad_perfbench perfbench_test
 "./$PERFBENCH_DIR/perfbench_test"
 echo "perfbench build + perfbench_test: OK"
+
+# Serving-bench smoke: one repetition of every bench_serving mode on a small
+# corpus, no JSON. The bench exits nonzero if any router or WAL mode assigns
+# differently from sequential AddPaper (score bits included), so its
+# divergence oracle runs on every change, not only when BENCH_serving.json
+# is recorded.
+"./$BUILD_DIR"/bench_bench_serving --papers 1500 --stream 60 --reps 1
+echo "bench_serving smoke: OK"
 
 # Snapshot persistence smoke: a pipeline run saved with --save-snapshot must
 # reload cleanly into the serving path and ingest a stream (end-to-end check
@@ -283,12 +292,8 @@ diff <(grep '"op":"query_authors"' "$SMOKE_DIR/out6.txt") \
      <(grep '"op":"query_authors"' "$SMOKE_DIR/out7.txt")
 echo "WAL kill -9 / recover smoke: OK"
 
-# Optional bench trajectories (BENCH_stages.json, BENCH_shard.json,
-# BENCH_api.json, BENCH_wal.json). Off by default to keep CI time bounded;
-# set IUAD_RUN_BENCH=1 to record them.
+# Optional: record BENCH_serving.json (nproc shards, 5 repetitions). Off by
+# default to keep CI time bounded; set IUAD_RUN_BENCH=1 to record it.
 if [[ "${IUAD_RUN_BENCH:-0}" == "1" ]]; then
-  scripts/bench_stages.sh
-  scripts/bench_shard.sh
-  scripts/bench_api.sh
-  scripts/bench_wal.sh
+  scripts/bench_serving.sh
 fi

@@ -217,9 +217,9 @@ struct IuadConfig {
   /// many milliseconds have passed since the last sync, even when fewer
   /// than wal_fsync_every_n records are buffered. Bounds durability lag
   /// under sustained slow load; keep it well above the fsync cost itself
-  /// or batches degenerate to a couple of records (BENCH_wal.json). 0
-  /// disables the time trigger (the idle-transition flush still runs).
-  /// CLI flag: --wal-fsync-ms.
+  /// or batches degenerate to a couple of records (wal_io in
+  /// BENCH_serving.json). 0 disables the time trigger (the
+  /// idle-transition flush still runs). CLI flag: --wal-fsync-ms.
   double wal_fsync_interval_ms = 50.0;
   /// Checkpoint cadence: once at least this many papers have been applied
   /// since the last checkpoint, the commit thread writes one at the next

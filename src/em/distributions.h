@@ -37,7 +37,7 @@ class Distribution {
   /// numerically stable.
   virtual double LogPdf(double x) const = 0;
 
-  /// Human-readable parameter dump for logging/EXPERIMENTS.md.
+  /// Human-readable parameter dump for logging.
   virtual std::string ToString() const = 0;
 
   virtual FamilyType family() const = 0;

@@ -103,7 +103,7 @@ class MixtureModel {
     return *unmatched_[static_cast<size_t>(feature)];
   }
 
-  /// Parameter dump for logs / EXPERIMENTS.md.
+  /// Parameter dump for logs.
   std::string ToString() const;
 
   /// The deterministic quantile-based initial responsibilities described in

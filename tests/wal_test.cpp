@@ -523,5 +523,43 @@ TEST(WalCrashRecoveryTest, RecoveredAssignmentsMatchSequential) {
   }
 }
 
+/// The shipping group-commit cadence (wal::Options{}: 64 records / 50 ms)
+/// puts several commits behind one fsync, unlike the fsync_every_n = 1 of
+/// the tests above. A router behind it, at 1 and 4 shards, must still
+/// assign exactly as sequential AddPaper does, score bits included, and
+/// leave every record durable once Drain returns.
+TEST(WalGroupCommitTest, DefaultCadenceMatchesSequentialAtOneAndFourShards) {
+  const core::IuadConfig base = FastConfig();
+  const uint64_t kSeed = 71;
+  const int kHoldout = 40;
+  const auto sequential = SequentialTraces(base, kSeed, kHoldout);
+  ASSERT_EQ(sequential.size(), static_cast<size_t>(kHoldout));
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::IuadConfig cfg = base;
+    cfg.num_shards = shards;
+    Fixture f = MakeFixture(kSeed, kHoldout, cfg);
+    auto log = Log::Open(FreshWalDir("cadence_s" + std::to_string(shards)),
+                         f.history.Fingerprint(), Options{});
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    shard::ShardRouter router(&f.history, &f.result, cfg, log->get());
+    std::vector<std::future<shard::ShardRouter::Assignments>> futures;
+    for (int i = 0; i < kHoldout; ++i) {
+      futures.push_back(router.SubmitAt(static_cast<uint64_t>(i), f.stream[i]));
+    }
+    router.Drain();
+    for (int i = 0; i < kHoldout; ++i) {
+      auto r = futures[static_cast<size_t>(i)].get();
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(TraceOf(*r), sequential[static_cast<size_t>(i)])
+          << "divergence at sequence " << i;
+    }
+    EXPECT_EQ(router.Stats().wal_appended, kHoldout);
+    EXPECT_EQ((*log)->durable_next(), static_cast<uint64_t>(kHoldout));
+    router.Stop();
+    ASSERT_TRUE((*log)->status().ok()) << (*log)->status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace iuad::wal
