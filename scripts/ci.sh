@@ -11,7 +11,8 @@ cd "$(dirname "$0")/.."
 # build tree, so the regular ./build stays warm. Heavier and slower — run
 # them when touching memory layout, concurrency, or raw-byte io paths. The
 # TSan preset runs only the concurrent suites (the pipelined shard router,
-# which serves every shard count, its one-shard Frontend contract suite, the
+# which serves every shard count and whose scatter tasks fill each shard's
+# WL ball cache on first score, its one-shard Frontend contract suite, the
 # API server, and graph_test, whose WL kernel prewarm writes per-vertex
 # feature slots from pool workers) rather than the whole gate: that is where
 # the thread schedules live, and TSan's ~10x slowdown on the fit-heavy

@@ -79,19 +79,11 @@ void IncrementalDisambiguator::Refresh() {
   // caches are being rebuilt anyway. Purely a storage change: neighbor
   // iteration order and content are identical before and after.
   result_->graph.Compact();
+  // No WL ball is built here: γ1 is frozen at this snapshot by the
+  // kernel's own adjacency copy (see SimilarityComputer), so balls filled
+  // on first score match the sharded serving path's bit for bit.
   sim_ = std::make_unique<SimilarityComputer>(*db_, result_->graph,
                                               result_->embeddings, config_);
-  // Freeze γ1 at the refresh snapshot: compute every alive vertex's WL ball
-  // now instead of on first score, so a score between refreshes does not
-  // depend on how many papers committed before the ball was first
-  // enumerated. Same values as the sharded/pipelined serving paths, which
-  // prewarm the identical snapshot partitioned by shard ownership.
-  std::vector<graph::VertexId> alive;
-  alive.reserve(static_cast<size_t>(result_->graph.num_alive()));
-  for (graph::VertexId v = 0; v < result_->graph.num_vertices(); ++v) {
-    if (result_->graph.alive(v)) alive.push_back(v);
-  }
-  sim_->PrewarmStructure(alive);
   since_refresh_ = 0;
 }
 

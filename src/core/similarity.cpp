@@ -48,11 +48,6 @@ SimilarityComputer::SimilarityComputer(const data::PaperDatabase& db,
   ComputeEmbeddingCenter();
 }
 
-void SimilarityComputer::PrewarmStructure(
-    const std::vector<graph::VertexId>& vs, util::ThreadPool* pool) const {
-  wl_.PrewarmFeatures(vs, pool);
-}
-
 void SimilarityComputer::ComputeEmbeddingCenter() {
   embedding_center_.assign(static_cast<size_t>(embeddings_.dim()), 0.0f);
   if (!embeddings_.trained()) return;

@@ -48,6 +48,17 @@ using SimilarityVector = std::vector<double>;
 /// Computes γ vectors against one graph snapshot. The referenced database,
 /// graph, and embeddings must outlive this object. Rebuild after bulk graph
 /// mutation (merges / splits) — the WL kernel is snapshot-bound.
+///
+/// γ1 is a pure function of the construction-time graph: the WL kernel
+/// keeps its own frozen copy of the adjacency and builds each vertex's ball
+/// from it on the vertex's first score, so a ball is the same however many
+/// papers have committed to the live graph since. That timing-independence
+/// is what lets the pipelined shard router score a paper before its
+/// sequence predecessors commit (shard_router.h) while staying
+/// byte-identical to sequential ingestion. A copy shares the immutable WL
+/// state and frequency tables and gets its own copy of the lazily filled
+/// caches; only one thread at a time may score through one computer unless
+/// its caches were prewarmed (ComputeBatch).
 class SimilarityComputer {
  public:
   /// When `pool` is given, the snapshot-bound WL refinement runs across its
@@ -94,19 +105,6 @@ class SimilarityComputer {
   SimilarityVector ComputeVsNewPaper(graph::VertexId v,
                                      const data::Paper& paper,
                                      const std::string& name) const;
-
-  /// Eagerly computes (and caches) the WL ball features of every vertex in
-  /// `vs`, fanned out over `pool` when given. The incremental serving paths
-  /// call this at every cache refresh for the vertices they may score, so
-  /// γ1 between refreshes is a pure function of the refresh-time snapshot —
-  /// not of when a lazily-filled ball first happened to be enumerated
-  /// against the live adjacency. That timing-independence is what lets the
-  /// pipelined shard router score a paper before its sequence predecessors
-  /// commit (shard_router.h) while staying byte-identical to sequential
-  /// ingestion. Unknown / post-refresh vertex ids are ignored (they have no
-  /// refinement labels and deterministically score γ1 = 0).
-  void PrewarmStructure(const std::vector<graph::VertexId>& vs,
-                        util::ThreadPool* pool = nullptr) const;
 
   /// Drops the cached profile of `v` (call after v gains papers/edges).
   void InvalidateProfile(graph::VertexId v);

@@ -9,19 +9,30 @@ namespace iuad::graph {
 
 WlVertexKernel::WlVertexKernel(const CollabGraph& graph, int h,
                                util::ThreadPool* pool)
-    : graph_(graph), h_(h) {
+    : interner_(&graph.interner()) {
+  auto frozen = std::make_shared<Frozen>();
+  Frozen& f = *frozen;
+  f.h = h;
   const int n = graph.num_vertices();
-  labels_.resize(static_cast<size_t>(h + 1),
-                 std::vector<int>(static_cast<size_t>(n), -1));
-  feature_cache_.resize(static_cast<size_t>(n));
-  feature_cached_.assign(static_cast<size_t>(n), 0);
+  const size_t stride = static_cast<size_t>(h + 1);
+
+  // Freeze the adjacency of every alive vertex. Balls and refinement both
+  // read this copy, so nothing after the build depends on the live graph.
+  f.row_start.assign(static_cast<size_t>(n) + 1, 0);
+  for (VertexId v = 0; v < n; ++v) {
+    if (graph.alive(v)) {
+      for (const auto& [u, papers] : graph.NeighborsOf(v)) f.nbrs.push_back(u);
+    }
+    f.row_start[static_cast<size_t>(v) + 1] = static_cast<int>(f.nbrs.size());
+  }
+  f.labels.assign(static_cast<size_t>(n) * stride, -1);
 
   // Iteration 0: compress author names to dense label ids.
   for (VertexId v = 0; v < n; ++v) {
     if (!graph.alive(v)) continue;
-    auto [it, inserted] = name_labels_.try_emplace(
-        graph.vertex(v).name_id, static_cast<int>(name_labels_.size()));
-    labels_[0][static_cast<size_t>(v)] = it->second;
+    auto [it, inserted] = f.name_labels.try_emplace(
+        graph.vertex(v).name_id, static_cast<int>(f.name_labels.size()));
+    f.labels[static_cast<size_t>(v) * stride] = it->second;
   }
 
   // Iterations 1..h: label(v) <- compress(label(v), sorted labels of N(v)).
@@ -35,28 +46,35 @@ WlVertexKernel::WlVertexKernel(const CollabGraph& graph, int h,
   int next_global = 1 << 20;  // iteration-0 labels occupy [0, 2^20)
   std::vector<std::vector<int>> sigs(static_cast<size_t>(n));
   for (int iter = 1; iter <= h; ++iter) {
+    const size_t prev = static_cast<size_t>(iter - 1);
     util::ForIndices(pool, static_cast<size_t>(n), [&](size_t vi) {
-      const VertexId v = static_cast<VertexId>(vi);
-      sigs[vi].clear();
-      if (!graph.alive(v)) return;
-      sigs[vi].reserve(graph.NeighborsOf(v).size() + 1);
-      sigs[vi].push_back(
-          labels_[static_cast<size_t>(iter - 1)][static_cast<size_t>(v)]);
-      for (const auto& [u, papers] : graph.NeighborsOf(v)) {
-        sigs[vi].push_back(
-            labels_[static_cast<size_t>(iter - 1)][static_cast<size_t>(u)]);
+      std::vector<int>& sig = sigs[vi];
+      sig.clear();
+      if (f.labels[vi * stride] < 0) return;  // dead at build
+      const int begin = f.row_start[vi];
+      const int end = f.row_start[vi + 1];
+      sig.reserve(static_cast<size_t>(end - begin) + 1);
+      sig.push_back(f.labels[vi * stride + prev]);
+      for (int k = begin; k < end; ++k) {
+        sig.push_back(
+            f.labels[static_cast<size_t>(f.nbrs[static_cast<size_t>(k)]) *
+                         stride +
+                     prev]);
       }
-      std::sort(sigs[vi].begin() + 1, sigs[vi].end());
+      std::sort(sig.begin() + 1, sig.end());
     });
     std::map<std::vector<int>, int> signature_label;
-    for (VertexId v = 0; v < n; ++v) {
-      if (!graph.alive(v)) continue;
+    for (size_t vi = 0; vi < static_cast<size_t>(n); ++vi) {
+      if (f.labels[vi * stride] < 0) continue;
       auto [it, inserted] =
-          signature_label.try_emplace(std::move(sigs[static_cast<size_t>(v)]), 0);
+          signature_label.try_emplace(std::move(sigs[vi]), 0);
       if (inserted) it->second = next_global++;
-      labels_[static_cast<size_t>(iter)][static_cast<size_t>(v)] = it->second;
+      f.labels[vi * stride + static_cast<size_t>(iter)] = it->second;
     }
   }
+  frozen_ = std::move(frozen);
+  feature_cache_.resize(static_cast<size_t>(n));
+  feature_cached_.assign(static_cast<size_t>(n), 0);
 }
 
 namespace {
@@ -97,9 +115,9 @@ int64_t DotRuns(const Run& a, const Run& b) {
 
 const WlVertexKernel::BallFeatures& WlVertexKernel::FeaturesOf(
     VertexId v) const {
-  // Vertices created after Build() have no labels or cache slot.
+  // Vertices created after the build have no labels or cache slot.
   static const BallFeatures* const kEmpty = new BallFeatures();
-  if (v >= static_cast<VertexId>(labels_[0].size())) return *kEmpty;
+  if (v >= frozen_->num_vertices()) return *kEmpty;
   const size_t sv = static_cast<size_t>(v);
   if (!feature_cached_[sv]) {
     feature_cache_[sv] = ComputeFeatures(v);
@@ -112,7 +130,7 @@ void WlVertexKernel::PrewarmFeatures(const std::vector<VertexId>& vs,
                                      util::ThreadPool* pool) const {
   std::vector<VertexId> missing;
   for (VertexId v : vs) {
-    if (v >= 0 && v < static_cast<VertexId>(labels_[0].size()) &&
+    if (v >= 0 && v < frozen_->num_vertices() &&
         !feature_cached_[static_cast<size_t>(v)]) {
       missing.push_back(v);
     }
@@ -140,38 +158,38 @@ void WlVertexKernel::PrewarmFeatures(const std::vector<VertexId>& vs,
 WlVertexKernel::BallFeatures WlVertexKernel::ComputeFeatures(
     VertexId v) const {
   BallFeatures features;
-  if (!graph_.alive(v)) return features;
+  const Frozen& f = *frozen_;
+  if (!f.BuiltAlive(v)) return features;
 
   thread_local BallScratch s;
-  const size_t n = static_cast<size_t>(graph_.num_vertices());
+  const size_t n = static_cast<size_t>(f.num_vertices());
   if (s.stamp.size() < n) s.stamp.resize(n, 0);
   if (++s.epoch == 0) {  // wrapped: forget every old stamp
     std::fill(s.stamp.begin(), s.stamp.end(), 0);
     s.epoch = 1;
   }
 
-  // Level-synchronous BFS of radius h over the live adjacency. The center
-  // is marked reached but never counted (see the header: φ describes the
-  // collaboration neighborhood, not the vertex). Vertices added after
-  // Build() carry no labels: they are traversed but not counted (callers
-  // rebuild the kernel periodically during incremental ingestion).
-  const VertexId built_n = static_cast<VertexId>(labels_[0].size());
+  // Level-synchronous BFS of radius h over the frozen build-time adjacency,
+  // not the live graph: edges and vertices added since the build are
+  // invisible, so the ball is the same whenever it is first computed. The
+  // center is marked reached but never counted (see the header: φ
+  // describes the collaboration neighborhood, not the vertex).
+  const size_t stride = static_cast<size_t>(f.h + 1);
   s.labels.clear();
   s.frontier.assign(1, v);
   s.stamp[static_cast<size_t>(v)] = s.epoch;
-  for (int d = 0; d < h_ && !s.frontier.empty(); ++d) {
+  for (int d = 0; d < f.h && !s.frontier.empty(); ++d) {
     s.next.clear();
     for (VertexId u : s.frontier) {
-      for (const auto& [w, papers] : graph_.NeighborsOf(u)) {
+      const int end = f.row_start[static_cast<size_t>(u) + 1];
+      for (int k = f.row_start[static_cast<size_t>(u)]; k < end; ++k) {
+        const VertexId w = f.nbrs[static_cast<size_t>(k)];
         uint32_t& stamp = s.stamp[static_cast<size_t>(w)];
         if (stamp == s.epoch) continue;
         stamp = s.epoch;
         s.next.push_back(w);
-        if (w >= built_n) continue;
-        for (int iter = 0; iter <= h_; ++iter) {
-          s.labels.push_back(
-              labels_[static_cast<size_t>(iter)][static_cast<size_t>(w)]);
-        }
+        const int* lw = f.labels.data() + static_cast<size_t>(w) * stride;
+        s.labels.insert(s.labels.end(), lw, lw + stride);
       }
     }
     std::swap(s.frontier, s.next);
@@ -199,16 +217,15 @@ WlVertexKernel::BallFeatures WlVertexKernel::ComputeFeatures(
 
 double WlVertexKernel::NormalizedKernelVsNameSet(
     VertexId v, const std::vector<std::string>& names) const {
-  if (!graph_.alive(v) || names.empty()) return 0.0;
-  if (v >= static_cast<VertexId>(labels_[0].size())) return 0.0;
+  if (names.empty()) return 0.0;
   const BallFeatures& fv = FeaturesOf(v);
   if (fv.runs.empty()) return 0.0;
   int64_t cross = 0;
   for (const auto& name : names) {
-    const util::NameId id = graph_.interner().Lookup(name);
+    const util::NameId id = interner_->Lookup(name);
     if (id == util::kInvalidNameId) continue;
-    auto it = name_labels_.find(id);
-    if (it == name_labels_.end()) continue;
+    auto it = frozen_->name_labels.find(id);
+    if (it == frozen_->name_labels.end()) continue;
     auto run = std::lower_bound(
         fv.runs.begin(), fv.runs.end(), it->second,
         [](const LabelCount& lc, int label) { return lc.label < label; });

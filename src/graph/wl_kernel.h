@@ -22,15 +22,22 @@
 /// kernel 0: no structural evidence. Requires h >= 1 for any signal.
 ///
 /// Refinement is run once on the whole graph (Shervashidze et al., JMLR'11).
-/// Per-vertex features are ball histograms stored flat: a label-sorted run
-/// of (label, integer count) pairs plus the cached self-kernel, filled on
-/// first use or in bulk by PrewarmFeatures. The kernel is a merge-join of
-/// two runs. Every count, product and partial sum is an integer far below
-/// 2^53, so the double it ends up in is exact whatever the summation order:
-/// the kernel values are byte-identical to any other exact evaluation of
-/// Eq. 3-4 (DESIGN.md §5, §6).
+/// The build also copies the adjacency of every vertex alive at build time
+/// into a frozen CSR next to the labels, and every ball is a BFS over that
+/// frozen CSR, never over the live graph. A ball is therefore a pure
+/// function of the build-time snapshot: built on first score, in bulk by
+/// PrewarmFeatures, or after any amount of later graph growth, it is the
+/// same ball. That is what lets the incremental serving paths fill balls
+/// lazily between refreshes and still score byte-identically to one another
+/// (DESIGN.md §5). Per-vertex features are stored flat: a label-sorted run
+/// of (label, integer count) pairs plus the cached self-kernel. The kernel
+/// is a merge-join of two runs. Every count, product and partial sum is an
+/// integer far below 2^53, so the double it ends up in is exact whatever
+/// the summation order: the kernel values are byte-identical to any other
+/// exact evaluation of Eq. 3-4 (DESIGN.md §5, §6).
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -41,16 +48,20 @@
 namespace iuad::graph {
 
 /// WL subtree features + kernel over one graph snapshot. Rebuild after the
-/// graph is mutated (merges invalidate features).
+/// graph is mutated to see the mutation; until then the kernel keeps
+/// answering for the build-time graph. Copies share the immutable
+/// build-time state (labels, frozen adjacency, iteration-0 name labels) and
+/// each gets its own copy of the ball cache.
 class WlVertexKernel {
  public:
-  /// Runs h rounds of label refinement over the alive subgraph.
-  /// h = 0 leaves every ball empty (the center is excluded), so every
-  /// kernel is 0. When `pool` is given, each round's signature pass
-  /// (neighbor-label gathering + sort) runs across its workers; compressed
-  /// label ids are still assigned in a sequential sweep in vertex order, so
-  /// labels are byte-identical at any thread count (and to the serial
-  /// build).
+  /// Freezes the alive subgraph's adjacency and runs h rounds of label
+  /// refinement over it. h = 0 leaves every ball empty (the center is
+  /// excluded), so every kernel is 0. When `pool` is given, each round's
+  /// signature pass (neighbor-label gathering + sort) runs across its
+  /// workers; compressed label ids are still assigned in a sequential sweep
+  /// in vertex order, so labels are byte-identical at any thread count (and
+  /// to the serial build). `graph` need not outlive the kernel, but its
+  /// interner must (names are resolved through it).
   WlVertexKernel(const CollabGraph& graph, int h,
                  util::ThreadPool* pool = nullptr);
 
@@ -66,7 +77,7 @@ class WlVertexKernel {
   /// connected to its byline co-authors, whose iteration-0 labels are the
   /// only features known before insertion. Result: the count of `names`
   /// labels in v's ball, normalized by sqrt(|names| * K(v, v)); 0 when v is
-  /// isolated, post-build, or `names` is empty.
+  /// isolated, dead or unknown at build, or `names` is empty.
   double NormalizedKernelVsNameSet(VertexId v,
                                    const std::vector<std::string>& names) const;
 
@@ -76,17 +87,20 @@ class WlVertexKernel {
   /// workers — and writes each ball straight into its vertex's slot. After
   /// the call, Kernel/NormalizedKernel over prewarmed vertices are pure
   /// reads and safe to invoke from many threads. Unknown / post-build
-  /// vertex ids are ignored.
+  /// vertex ids are ignored. The balls equal the ones a first score would
+  /// build, so this changes when the work is done, never a kernel value.
   void PrewarmFeatures(const std::vector<VertexId>& vs,
                        util::ThreadPool* pool = nullptr) const;
 
   /// The compressed WL label of vertex v at iteration `iter` (testing hook:
   /// two structurally-equivalent vertices share labels at every iteration).
   int LabelAt(VertexId v, int iter) const {
-    return labels_[static_cast<size_t>(iter)][static_cast<size_t>(v)];
+    return frozen_->labels[static_cast<size_t>(v) *
+                               static_cast<size_t>(frozen_->h + 1) +
+                           static_cast<size_t>(iter)];
   }
 
-  int depth() const { return h_; }
+  int depth() const { return frozen_->h; }
 
  private:
   /// One entry of a ball histogram: a WL label and how often it occurs.
@@ -99,22 +113,43 @@ class WlVertexKernel {
     std::vector<LabelCount> runs;
     double self_kernel = 0.0;
   };
+  /// Everything the build fixes, immutable afterwards and shared by copies.
+  struct Frozen {
+    int h = 0;
+    /// Build-time adjacency as CSR: row v is nbrs[row_start[v] ..
+    /// row_start[v + 1]), in the graph's ascending neighbor order; the row
+    /// of a vertex dead at build is empty.
+    std::vector<int> row_start;
+    std::vector<VertexId> nbrs;
+    /// labels[v * (h + 1) + i]: compressed label of v at iteration i, -1
+    /// for a vertex dead at build. One vertex's h + 1 labels are adjacent,
+    /// so a ball member's labels are one contiguous read.
+    std::vector<int> labels;
+    /// Iteration-0 dictionary (interned author name id -> label id), kept
+    /// for the isolated-vertex kernel. Keyed by util::NameId: names are
+    /// resolved through the graph's interner, so no strings are hashed
+    /// after build.
+    std::unordered_map<util::NameId, int> name_labels;
+
+    VertexId num_vertices() const {
+      return static_cast<VertexId>(row_start.size()) - 1;
+    }
+    /// True iff v existed and was alive when the kernel was built.
+    bool BuiltAlive(VertexId v) const {
+      return v >= 0 && v < num_vertices() &&
+             labels[static_cast<size_t>(v) * static_cast<size_t>(h + 1)] >= 0;
+    }
+  };
 
   /// The h-hop ball features of v, cached; empty for post-build vertices.
   const BallFeatures& FeaturesOf(VertexId v) const;
   /// The cache-free computation behind FeaturesOf (safe to run in
-  /// parallel for distinct vertices: reads graph_ / labels_ only, and
-  /// keeps its BFS buffers per thread).
+  /// parallel for distinct vertices: reads frozen_ only, and keeps its BFS
+  /// buffers per thread).
   BallFeatures ComputeFeatures(VertexId v) const;
 
-  const CollabGraph& graph_;
-  int h_;
-  /// labels_[i][v]: compressed label of v at iteration i (i = 0..h).
-  std::vector<std::vector<int>> labels_;
-  /// Iteration-0 dictionary (interned author name id -> label id), kept for
-  /// the isolated-vertex kernel. Keyed by util::NameId: names are resolved
-  /// through the graph's interner, so no strings are hashed after build.
-  std::unordered_map<util::NameId, int> name_labels_;
+  const util::StringInterner* interner_;
+  std::shared_ptr<const Frozen> frozen_;
   mutable std::vector<BallFeatures> feature_cache_;
   /// One byte per vertex (not vector<bool>), so PrewarmFeatures workers
   /// can mark distinct vertices without racing on shared words.

@@ -511,32 +511,16 @@ void ShardRouter::RefreshShards() {
   result_->graph.Compact();
   // One snapshot-bound build — the WL refinement sweep runs across the
   // shard pool, byte-identical to the serial build the sequential path
-  // does — then per-shard copies: every shard needs its OWN lazily-filled
-  // profile/feature caches (they are mutated during scoring), but the
-  // refinement labels are a pure function of the graph snapshot, so
-  // copying beats rebuilding them N times.
+  // does — then per-shard copies. Each copy shares the immutable WL state
+  // (labels and the frozen adjacency) and frequency tables, and owns its
+  // lazily filled profile and ball caches, written only by the shard's own
+  // scatter task or the router thread. No ball is built here: a ball built
+  // on first score equals the sequential path's, whenever that is.
   shards_[0].sim = std::make_unique<core::SimilarityComputer>(
       *db_, result_->graph, result_->embeddings, config_, pool_.get());
   for (size_t s = 1; s < shards_.size(); ++s) {
     shards_[s].sim =
         std::make_unique<core::SimilarityComputer>(*shards_[0].sim);
-  }
-  // Freeze γ1 at this snapshot: eagerly prewarm each shard's owned alive
-  // vertices (the only ones it can ever score), partitioning feature-cache
-  // memory exactly like the profile caches. Without this, WL ball features
-  // would be computed lazily from the LIVE adjacency mid-window and
-  // pipelined scoring could diverge from sequential — which prewarms the
-  // same vertices in its one computer (core::IncrementalDisambiguator).
-  const graph::CollabGraph& g = result_->graph;
-  std::vector<std::vector<graph::VertexId>> owned(shards_.size());
-  for (graph::VertexId v = 0; v < g.num_vertices(); ++v) {
-    if (!g.alive(v)) continue;
-    owned[static_cast<size_t>(
-              placement_.ShardOf(g.vertex(v).name_id, g.NameOf(v)))]
-        .push_back(v);
-  }
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    shards_[s].sim->PrewarmStructure(owned[s], pool_.get());
   }
   since_refresh_ = 0;
   ctr_refreshes_->Increment();

@@ -32,13 +32,15 @@
 ///      shard and fanned out across all in-flight papers at once, every
 ///      shard reading the same frozen pre-window snapshot through its OWN
 ///      SimilarityComputer (profile caches partitioned by block ownership,
-///      not replicated). Frozen is exact, not approximate: WL ball features
-///      and corpus frequency tables are snapshotted at refresh time
-///      (core::SimilarityComputer), profiles of touched vertices are
-///      invalidated by commits, and γ2 (the one live cross-block read,
-///      triangles) is masked out of incremental scoring — so a
-///      speculatively-scored decision is bit-equal to the one sequential
-///      AddPaper would compute after the disjoint predecessors commit.
+///      not replicated). Frozen is exact, not approximate: WL labels, the
+///      adjacency WL balls are built from, and corpus frequency tables are
+///      snapshotted at refresh time (core::SimilarityComputer), so a ball
+///      first built mid-window equals one built at the refresh; profiles
+///      of touched vertices are invalidated by commits, and γ2 (the one
+///      live cross-block read, triangles) is masked out of incremental
+///      scoring — so a speculatively-scored decision is bit-equal to the
+///      one sequential AddPaper would compute after the disjoint
+///      predecessors commit.
 ///      Bylines that DO conflict are deferred (the scoreboard records which
 ///      commit version each decision read, so staleness is detected, not
 ///      assumed).
@@ -50,10 +52,13 @@
 ///      sequential path runs, stale profiles are invalidated on the owning
 ///      shards, the promise resolves, and the admission window advances.
 ///   4. REFRESH  — every config.incremental_refresh_interval applied papers
-///      (the same cadence as the raw incremental path) every shard rebuilds
-///      its similarity caches in parallel and prewarms the WL features of
-///      its owned alive vertices; the window cap makes the refresh a full
-///      pipeline barrier at exactly the sequential path's paper counts.
+///      (the same cadence as the raw incremental path) one
+///      SimilarityComputer is rebuilt on the current graph (WL refinement
+///      across the shard pool) and copied per shard; the copies share its
+///      immutable WL state and start with empty caches, and WL balls are
+///      built from the kernel's frozen adjacency when first scored. The
+///      window cap makes the refresh a full pipeline barrier at exactly the
+///      sequential path's paper counts.
 ///
 /// pipeline_depth = 1 degenerates to the pre-pipeline router: one paper per
 /// window, nothing deferred, scatter/commit per paper.
@@ -225,9 +230,9 @@ class ShardRouter : public serve::Frontend {
   /// Phase 2 for one in-flight paper at its turn in the sequence: rescore
   /// deferred bylines, ApplyDecisions, invalidate, count.
   Assignments CommitPaper(InFlight* w);
-  /// Rebuilds every shard's similarity caches in parallel and prewarms the
-  /// WL features of each shard's owned alive vertices (freezing γ1 at this
-  /// snapshot; see SimilarityComputer::PrewarmStructure).
+  /// Rebuilds the similarity state on the current graph and gives every
+  /// shard its own computer over it (γ1 is frozen at this snapshot; see
+  /// core::SimilarityComputer). Builds no WL ball.
   void RefreshShards();
   void PublishView();
   std::shared_ptr<const ReadView> CurrentView() const;

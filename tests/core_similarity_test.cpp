@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 
 #include "core/similarity.h"
 #include "testing_utils.h"
@@ -198,6 +200,37 @@ TEST_F(SimilarityFixture, ComputeVsNewPaperWlUsesCoauthorNames) {
   data::Paper with_stranger =
       iuad::testing::MakePaper({"X", "Stranger"}, "anything", "V", 2020);
   EXPECT_DOUBLE_EQ(sim.ComputeVsNewPaper(vx1_, with_stranger, "X")[0], 0.0);
+}
+
+uint64_t Bits(double x) {
+  uint64_t b = 0;
+  std::memcpy(&b, &x, sizeof(b));
+  return b;
+}
+
+TEST_F(SimilarityFixture, NewPaperWlIsFixedAtConstructionNotAtFirstScore) {
+  // Two computers on one graph. The candidate is scored on the first before
+  // the graph grows near it and on the second, for the first time, after.
+  // γ1 must not see the growth: it is a function of the graph both were
+  // built on, however late a ball is first needed.
+  SimilarityComputer first(db_, g_, NoEmbeddings(), DefaultConfig());
+  SimilarityComputer second(db_, g_, NoEmbeddings(), DefaultConfig());
+  const data::Paper paper =
+      iuad::testing::MakePaper({"X", "Alice", "Bob"}, "anything", "V", 2020);
+  const double before = first.ComputeVsNewPaper(vx1_, paper, "X")[0];
+  ASSERT_GT(before, 0.0);
+
+  // Within 2 hops of vx1: a new "Bob" vertex that bridges to vx3, and an
+  // edge that brings vx2's Alice into vx1's ball. (Growth that only scales
+  // every count of the ball alike would leave the normalized kernel as it
+  // was, so this growth is deliberately lopsided.)
+  const VertexId late_bob = g_.AddVertex("Bob", {p3_});
+  ASSERT_TRUE(g_.AddEdgePapers(vx1_, late_bob, {p3_}).ok());
+  ASSERT_TRUE(g_.AddEdgePapers(late_bob, vx3_, {p3_}).ok());
+  ASSERT_TRUE(g_.AddEdgePapers(a1_, a2_, {p3_}).ok());
+
+  const double after = second.ComputeVsNewPaper(vx1_, paper, "X")[0];
+  EXPECT_EQ(Bits(after), Bits(before)) << before << " vs " << after;
 }
 
 TEST_F(SimilarityFixture, AllOverlapFeaturesNonNegative) {
