@@ -70,8 +70,9 @@ echo "perfbench build + perfbench_test: OK"
 # corpus, no JSON. The bench exits nonzero if any router or WAL mode assigns
 # differently from sequential AddPaper (score bits included), so its
 # divergence oracle runs on every change, not only when BENCH_serving.json
-# is recorded.
-"./$BUILD_DIR"/bench_bench_serving --papers 1500 --stream 60 --reps 1
+# is recorded. The 160-paper stream crosses two similarity refreshes (every
+# 64 papers), so the oracle also covers profiles carried across them.
+"./$BUILD_DIR"/bench_bench_serving --papers 1500 --stream 160 --reps 1
 echo "bench_serving smoke: OK"
 
 # Snapshot persistence smoke: a pipeline run saved with --save-snapshot must

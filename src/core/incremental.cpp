@@ -17,10 +17,16 @@ OccurrenceDecision ScoreOccurrence(const SimilarityComputer& sim,
   // and is marginalized out, and the candidate-pair class prior does not
   // describe the new-paper base rate, so the pure likelihood ratio is used.
   const std::vector<bool> mask{true, false, true, true, true, true};
-  for (graph::VertexId v : graph.VerticesWithName(name)) {
+  const std::vector<graph::VertexId>& candidates = graph.VerticesWithName(name);
+  if (candidates.empty()) return d;  // a new name: nothing clears δ
+  // The new occurrence's side is the same for every candidate: tokenize the
+  // title and resolve the co-authors once.
+  const SimilarityComputer::NewOccurrence occurrence =
+      sim.PrepareNewOccurrence(paper, name);
+  for (graph::VertexId v : candidates) {
     ++d.num_candidates;
     const double score = model.LikelihoodRatioMasked(
-        sim.ComputeVsNewPaper(v, paper, name), mask);
+        sim.ComputeVsNewPaper(v, occurrence), mask);
     if (score > d.best_score) {
       d.best_score = score;
       d.target = v;
@@ -81,9 +87,13 @@ void IncrementalDisambiguator::Refresh() {
   result_->graph.Compact();
   // No WL ball is built here: γ1 is frozen at this snapshot by the
   // kernel's own adjacency copy (see SimilarityComputer), so balls filled
-  // on first score match the sharded serving path's bit for bit.
-  sim_ = std::make_unique<SimilarityComputer>(*db_, result_->graph,
-                                              result_->embeddings, config_);
+  // on first score match the sharded serving path's bit for bit. The
+  // text/venue profiles are current (folded at every commit) and move to
+  // the new computer as they are.
+  auto next = std::make_unique<SimilarityComputer>(
+      *db_, result_->graph, result_->embeddings, config_);
+  if (sim_ != nullptr) next->AdoptProfiles(std::move(*sim_));
+  sim_ = std::move(next);
   since_refresh_ = 0;
 }
 
@@ -108,10 +118,11 @@ IncrementalDisambiguator::AddPaper(const data::Paper& paper) {
                                    static_cast<uint64_t>(papers_ingested_));
   }
 
-  // Phase 2: mutate database and graph; drop stale profiles either way.
+  // Phase 2: mutate database and graph; fold the new paper into the
+  // touched vertices' profiles either way.
   std::vector<graph::VertexId> touched;
   auto out = ApplyDecisions(paper, decisions, db_, result_, &touched);
-  for (graph::VertexId v : touched) sim_->InvalidateProfile(v);
+  for (graph::VertexId v : touched) sim_->FoldProfile(v);
   IUAD_RETURN_NOT_OK(out.status());
 
   ++papers_ingested_;

@@ -66,10 +66,10 @@ OccurrenceDecision ScoreOccurrence(const SimilarityComputer& sim,
 /// Phase 2: commits one paper's decided bylines — appends the paper to the
 /// database, assigns/creates vertices, records occurrences, and recovers
 /// the paper's collaborative relations — in exactly the order the
-/// sequential AddPaper performs them. Every vertex whose profile went stale
-/// (gained papers or edges) is appended to `touched`, including the ones
-/// mutated before a mid-commit error; the caller owns invalidating its
-/// SimilarityComputer(s) for them.
+/// sequential AddPaper performs them. Every vertex that gained papers or
+/// edges is appended to `touched`, including the ones mutated before a
+/// mid-commit error; the caller owns folding them into its
+/// SimilarityComputer(s) (SimilarityComputer::FoldProfile).
 iuad::Result<std::vector<IncrementalAssignment>> ApplyDecisions(
     const data::Paper& paper, const std::vector<OccurrenceDecision>& decisions,
     data::PaperDatabase* db, DisambiguationResult* result,
@@ -78,10 +78,12 @@ iuad::Result<std::vector<IncrementalAssignment>> ApplyDecisions(
 /// Streams new papers into an existing disambiguation result.
 ///
 /// `db` must be the same database the result was built from (ids must
-/// agree); both are mutated by AddPaper. Structure caches (WL kernel,
-/// profiles) are refreshed every config.incremental_refresh_interval papers;
-/// between refreshes new edges are visible to the text/venue features
-/// immediately and to the structural features after the next refresh.
+/// agree); both are mutated by AddPaper. The structure snapshot (WL kernel,
+/// corpus frequencies) is rebuilt every config.incremental_refresh_interval
+/// papers; new papers are visible to the text/venue features immediately
+/// (each commit folds them into the touched profiles, which carry across
+/// refreshes) and new edges to the structural features after the next
+/// refresh.
 class IncrementalDisambiguator {
  public:
   IncrementalDisambiguator(data::PaperDatabase* db,

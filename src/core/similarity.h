@@ -11,9 +11,13 @@
 ///   γ5  representative-community (top venue) similarity      (Eq. 8)
 ///   γ6  Adamic/Adar research-community similarity            (Eq. 9)
 ///
-/// Per-vertex profiles (keyword/venue multisets, keyword year lists, mean
-/// embedding, incident triangles) are cached lazily; InvalidateProfile lets
-/// the incremental path refresh vertices it touches.
+/// Per-vertex text/venue profiles (keyword year lists, venue counts,
+/// representative venue, keyword-embedding sum) are cached lazily and are a
+/// pure function of the vertex's paper list and the trained embeddings:
+/// FoldProfile folds the papers a commit appended into the cached profile,
+/// and a refresh moves the profiles into the next computer (AdoptProfiles).
+/// The incident-triangle names γ2 needs are a separate cache, filled only
+/// by the batch Compute/PrewarmProfiles path; incremental scoring masks γ2.
 ///
 /// Three deliberate deviations from the paper's formulas, all documented in
 /// DESIGN.md: the γ4 exponent is e^(−α·min(b)) — the cited FutureRank decay;
@@ -55,12 +59,43 @@ using SimilarityVector = std::vector<double>;
 /// papers have committed to the live graph since. That timing-independence
 /// is what lets the pipelined shard router score a paper before its
 /// sequence predecessors commit (shard_router.h) while staying
-/// byte-identical to sequential ingestion. A copy shares the immutable WL
+/// byte-identical to sequential ingestion. The text/venue profiles are not
+/// snapshot-bound at all: each is a pure function of its vertex's current
+/// paper list, kept current by FoldProfile and carried from one refresh's
+/// computer to the next by AdoptProfiles. A copy shares the immutable WL
 /// state and frequency tables and gets its own copy of the lazily filled
 /// caches; only one thread at a time may score through one computer unless
 /// its caches were prewarmed (ComputeBatch).
 class SimilarityComputer {
+ private:
+  /// Cached text/venue view of one vertex: a pure function of the papers it
+  /// covers and the trained embeddings. A profile covers a prefix of its
+  /// vertex's sorted paper list, the first `num_papers` ids, the last of
+  /// which is `last_paper`.
+  struct Profile {
+    int num_papers = 0;
+    int last_paper = -1;
+    std::unordered_map<std::string, std::vector<int>> keyword_years;  // sorted
+    std::unordered_map<std::string, int> venue_counts;
+    std::string representative_venue;
+    /// Sum of the embedded keyword vectors, in paper-then-keyword order, and
+    /// how many were added; the centered mean is derived when scoring
+    /// (MeanEmbedding).
+    text::Vec embedding_sum;
+    int embedded_words = 0;
+  };
+
  public:
+  /// The new occurrence's side of ComputeVsNewPaper, built once per byline
+  /// by PrepareNewOccurrence and shared by every candidate's score.
+  struct NewOccurrence {
+    Profile profile;           ///< Single-paper profile of the new paper.
+    text::Vec mean_embedding;  ///< Its centered mean keyword embedding.
+    /// The byline co-authors (every name but the occurrence's own) as WL
+    /// iteration-0 labels.
+    graph::WlVertexKernel::NameSet coauthors;
+  };
+
   /// When `pool` is given, the snapshot-bound WL refinement runs across its
   /// workers (labels identical to a serial build); the pool is only used
   /// during construction and need not outlive this object.
@@ -77,10 +112,10 @@ class SimilarityComputer {
   /// γ vectors for every pair, in input order, computed across
   /// `num_threads` workers (<= 0: config.num_threads, itself 0 = hardware
   /// concurrency). Equivalent to calling Compute per pair: the lazily-built
-  /// per-vertex profiles and WL features are populated in a prepass
-  /// (PrewarmProfiles), after which the parallel region is read-only, and
-  /// results land in slots indexed by pair position — identical output at
-  /// any thread count.
+  /// per-vertex profiles, triangle names and WL features are populated in a
+  /// prepass (PrewarmProfiles), after which the parallel region is
+  /// read-only, and results land in slots indexed by pair position —
+  /// identical output at any thread count.
   std::vector<SimilarityVector> ComputeBatch(
       const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
       int num_threads = -1) const;
@@ -91,49 +126,65 @@ class SimilarityComputer {
       const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
       util::ThreadPool* pool) const;
 
-  /// Builds (and caches) profiles + WL features of every vertex appearing
-  /// in `pairs`, concurrently on `pool` when given. Subsequent Compute
-  /// calls touching only these vertices are const in the deep sense and
-  /// thread-safe.
+  /// Builds (and caches) profiles, triangle names and WL features of every
+  /// vertex appearing in `pairs`, concurrently on `pool` when given.
+  /// Subsequent Compute calls touching only these vertices are const in the
+  /// deep sense and thread-safe.
   void PrewarmProfiles(
       const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
       util::ThreadPool* pool = nullptr) const;
 
-  /// γ1..γ6 between vertex `v` and the *new occurrence* of `name` in
-  /// `paper` — the isolated-vertex comparison of the incremental path
-  /// (Sec. V-E). The paper need not be in the database yet.
-  SimilarityVector ComputeVsNewPaper(graph::VertexId v,
-                                     const data::Paper& paper,
+  /// The side of the *new occurrence* of `name` in `paper` that every
+  /// candidate comparison shares. The paper need not be in the database.
+  NewOccurrence PrepareNewOccurrence(const data::Paper& paper,
                                      const std::string& name) const;
 
-  /// Drops the cached profile of `v` (call after v gains papers/edges).
-  void InvalidateProfile(graph::VertexId v);
+  /// γ1..γ6 between vertex `v` and a prepared new occurrence — the
+  /// isolated-vertex comparison of the incremental path (Sec. V-E).
+  SimilarityVector ComputeVsNewPaper(graph::VertexId v,
+                                     const NewOccurrence& occurrence) const;
+
+  /// Brings v's cached state up to date after v gained papers or edges;
+  /// between rebuilds the graph only inserts into a vertex's sorted paper
+  /// list. Ids inserted after the profile's last paper are folded in —
+  /// sorted year inserts, venue counts, the representative venue by the
+  /// builder's rule, the embedding sum in the builder's order — so the
+  /// result equals a fresh build bit for bit; an id inserted before it
+  /// rebuilds the profile, and an unchanged list (an edge-only touch)
+  /// leaves it as it is. v's triangle names, if cached, are dropped.
+  void FoldProfile(graph::VertexId v);
+
+  /// Moves `previous`'s cached profiles into this computer, which must be
+  /// built over the same database and embeddings and hold no profile yet.
+  /// A moved profile equals the one this computer would build (profiles
+  /// depend only on the vertex's papers), so this changes when the work is
+  /// done, never a score. Triangle names and WL balls stay behind: they
+  /// are snapshot-bound.
+  void AdoptProfiles(SimilarityComputer&& previous);
 
   const graph::WlVertexKernel& wl_kernel() const { return wl_; }
 
  private:
-  /// Cached derived view of one vertex.
-  struct Profile {
-    int num_papers = 0;
-    std::unordered_map<std::string, int> keyword_counts;
-    std::unordered_map<std::string, std::vector<int>> keyword_years;  // sorted
-    std::unordered_map<std::string, int> venue_counts;
-    std::string representative_venue;
-    text::Vec mean_embedding;
-    /// Incident triangles as sorted interned-name-id pairs (identity by
-    /// *name*: two same-name vertices never share neighbor vertices in an
-    /// SCN, so the clique comparison of Eq. 5 is necessarily nominal —
-    /// and name equality is exactly NameId equality).
-    std::vector<std::pair<util::NameId, util::NameId>> triangle_names;
-  };
+  /// Incident triangles as sorted interned-name-id pairs (identity by
+  /// *name*: two same-name vertices never share neighbor vertices in an
+  /// SCN, so the clique comparison of Eq. 5 is necessarily nominal — and
+  /// name equality is exactly NameId equality).
+  using TriangleNames = std::vector<std::pair<util::NameId, util::NameId>>;
 
   const Profile& ProfileOf(graph::VertexId v) const;
-  /// The cache-free computation behind ProfileOf (papers + triangles);
+  const TriangleNames& TriangleNamesOf(graph::VertexId v) const;
+  /// The cache-free computations behind ProfileOf and TriangleNamesOf;
   /// safe to run concurrently for distinct vertices.
-  Profile BuildFullProfile(graph::VertexId v) const;
   Profile BuildProfileFromPapers(const std::vector<int>& paper_ids) const;
+  TriangleNames BuildTriangleNames(graph::VertexId v) const;
   Profile BuildProfileFromSinglePaper(const data::Paper& paper) const;
-  void FillTextAndVenueFeatures(const Profile& a, const Profile& b,
+  /// Adds paper `pid`, which sorts after every paper `p` covers, to `p`.
+  void FoldPaper(int pid, Profile* p) const;
+  /// The centered mean keyword embedding of `p` (zero without any embedded
+  /// keyword).
+  text::Vec MeanEmbedding(const Profile& p) const;
+  void FillTextAndVenueFeatures(const Profile& a, const text::Vec& mean_a,
+                                const Profile& b, const text::Vec& mean_b,
                                 SimilarityVector* gamma) const;
   /// Frequency-weighted mean of all word vectors. Mean keyword embeddings
   /// are strongly anisotropic (every profile's mean points roughly the same
@@ -172,6 +223,7 @@ class SimilarityComputer {
   text::Vec embedding_center_;
   std::shared_ptr<const FrequencySnapshot> freqs_;
   mutable std::unordered_map<graph::VertexId, Profile> profiles_;
+  mutable std::unordered_map<graph::VertexId, TriangleNames> triangles_;
 };
 
 }  // namespace iuad::core

@@ -215,26 +215,36 @@ WlVertexKernel::BallFeatures WlVertexKernel::ComputeFeatures(
   return features;
 }
 
-double WlVertexKernel::NormalizedKernelVsNameSet(
-    VertexId v, const std::vector<std::string>& names) const {
-  if (names.empty()) return 0.0;
-  const BallFeatures& fv = FeaturesOf(v);
-  if (fv.runs.empty()) return 0.0;
-  int64_t cross = 0;
+WlVertexKernel::NameSet WlVertexKernel::ResolveNameSet(
+    const std::vector<std::string>& names) const {
+  NameSet set;
+  set.num_names = names.size();
   for (const auto& name : names) {
     const util::NameId id = interner_->Lookup(name);
     if (id == util::kInvalidNameId) continue;
     auto it = frozen_->name_labels.find(id);
     if (it == frozen_->name_labels.end()) continue;
+    set.labels.push_back(it->second);
+  }
+  return set;
+}
+
+double WlVertexKernel::NormalizedKernelVsNameSet(VertexId v,
+                                                 const NameSet& set) const {
+  if (set.num_names == 0) return 0.0;
+  const BallFeatures& fv = FeaturesOf(v);
+  if (fv.runs.empty()) return 0.0;
+  int64_t cross = 0;
+  for (const int label : set.labels) {
     auto run = std::lower_bound(
-        fv.runs.begin(), fv.runs.end(), it->second,
-        [](const LabelCount& lc, int label) { return lc.label < label; });
-    if (run != fv.runs.end() && run->label == it->second) cross += run->count;
+        fv.runs.begin(), fv.runs.end(), label,
+        [](const LabelCount& lc, int l) { return lc.label < l; });
+    if (run != fv.runs.end() && run->label == label) cross += run->count;
   }
   const double kvv = fv.self_kernel;
   if (kvv <= 0.0) return 0.0;
   return std::min(1.0, static_cast<double>(cross) /
-                           std::sqrt(static_cast<double>(names.size()) * kvv));
+                           std::sqrt(static_cast<double>(set.num_names) * kvv));
 }
 
 double WlVertexKernel::Kernel(VertexId u, VertexId v) const {

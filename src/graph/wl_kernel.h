@@ -71,15 +71,26 @@ class WlVertexKernel {
   /// Normalized kernel of Eq. 4, in [0, 1]; 0 if either self-kernel is 0.
   double NormalizedKernel(VertexId u, VertexId v) const;
 
+  /// A set of author names as the name-set kernel reads them: the
+  /// iteration-0 label of every name known at build, in input order
+  /// (repeats kept), plus the count of all names, known or not.
+  struct NameSet {
+    std::vector<int> labels;
+    size_t num_names = 0;
+  };
+
+  /// Resolves `names` to their iteration-0 labels once, so a name set
+  /// scored against many vertices is looked up only here.
+  NameSet ResolveNameSet(const std::vector<std::string>& names) const;
+
   /// Normalized kernel between vertex v and a *hypothetical star* whose
-  /// neighbors carry the given `names` — how the incremental path
+  /// neighbors carry the names of `set` — how the incremental path
   /// (Sec. V-E) scores a new paper: the unseen occurrence is a star center
   /// connected to its byline co-authors, whose iteration-0 labels are the
-  /// only features known before insertion. Result: the count of `names`
+  /// only features known before insertion. Result: the count of the set's
   /// labels in v's ball, normalized by sqrt(|names| * K(v, v)); 0 when v is
-  /// isolated, dead or unknown at build, or `names` is empty.
-  double NormalizedKernelVsNameSet(VertexId v,
-                                   const std::vector<std::string>& names) const;
+  /// isolated, dead or unknown at build, or the set is empty.
+  double NormalizedKernelVsNameSet(VertexId v, const NameSet& set) const;
 
   /// Populates the lazy per-vertex feature cache for every vertex in `vs`.
   /// With a pool, each worker computes a strided slice of the (sorted,

@@ -243,13 +243,13 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
       // committed across the window at the end of RunWindow.
       wal_->Append(w.seq, w.paper);
       ++wal_since_checkpoint_;
-      // Checkpoint only when THIS apply succeeded and triggered the shard
-      // refresh (since_refresh_ just reset): the one cache state a freshly
-      // constructed router rebuilds bit-for-bit (wal.h). The window cap
-      // pins refreshes to a window's last paper, so a checkpoint can only
-      // fire there — it never stalls mid-window.
+      // Checkpoint only when THIS apply succeeded and made the shard
+      // refresh due (it runs at the end of this window): the one cache
+      // state a freshly constructed router rebuilds bit-for-bit (wal.h).
+      // The window cap pins refreshes to a window's last paper, so a
+      // checkpoint can only fire there — it never stalls mid-window.
       if (config_.wal_checkpoint_every_n > 0 && applied.ok() &&
-          since_refresh_ == 0 &&
+          since_refresh_ >= config_.incremental_refresh_interval &&
           wal_since_checkpoint_ >=
               static_cast<int64_t>(config_.wal_checkpoint_every_n)) {
         if (iuad::Status s =
@@ -327,6 +327,12 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
       wal_->MaybeFlush();
     }
   }
+  // REFRESH: same global cadence as the sequential path's
+  // incremental_refresh_interval, fanned out across shards. The window cap
+  // in RouterLoop lets it fall due only on a window's last paper, so it
+  // runs here, after every reply of the window, and is still a full
+  // pipeline barrier: the next window is extracted after it.
+  if (since_refresh_ >= config_.incremental_refresh_interval) RefreshShards();
 }
 
 void ShardRouter::ScatterWindow(std::vector<InFlight>* window) {
@@ -414,8 +420,9 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
   // Deferred bylines: every in-window predecessor has committed by now, so
   // scoring here reads exactly the state sequential AddPaper would — the
   // rescore the stale snapshot_version stamp calls for. Inline on the
-  // router thread: a conflicted block's candidates were just mutated, so
-  // its shard's profile cache is warm from the invalidation path anyway.
+  // router thread: a conflicted block's candidates were just scored in the
+  // scatter or an earlier commit, and their predecessors' papers were
+  // folded into the owning shard's profiles, so those are warm.
   const size_t n = w->paper.author_names.size();
   const int64_t rescore_start_ns = stamps_ ? obs::NowNs() : 0;
   bool rescored = false;
@@ -456,8 +463,7 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
   }
 
   // Same mutation order as the sequential path, then shard-targeted profile
-  // invalidation — a touched vertex is only ever scored by its block's
-  // owner.
+  // folds — a touched vertex is only ever scored by its block's owner.
   const int64_t apply_start_ns = stamps_ ? obs::NowNs() : 0;
   std::vector<graph::VertexId> touched;
   auto applied = core::ApplyDecisions(w->paper, w->decisions, db_, result_,
@@ -466,7 +472,7 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
   for (graph::VertexId v : touched) {
     const int s = placement_.ShardOf(result_->graph.vertex(v).name_id,
                                      result_->graph.NameOf(v));
-    shards_[static_cast<size_t>(s)].sim->InvalidateProfile(v);
+    shards_[static_cast<size_t>(s)].sim->FoldProfile(v);
   }
   if (stamps_) {
     const int64_t apply_end_ns = obs::NowNs();
@@ -492,13 +498,10 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
       }
     }
     ++since_publish_;
-    // REFRESH: same global cadence as the sequential path's
-    // incremental_refresh_interval, fanned out across shards. The window
-    // cap in RouterLoop guarantees this only fires on a window's last
-    // paper, so the refresh is a full pipeline barrier.
-    if (++since_refresh_ >= config_.incremental_refresh_interval) {
-      RefreshShards();
-    }
+    // The refresh this may make due runs in RunWindow once the window's
+    // replies are out; the window cap in RouterLoop makes this paper the
+    // window's last.
+    ++since_refresh_;
   }
   return applied;
 }
@@ -515,12 +518,21 @@ void ShardRouter::RefreshShards() {
   // (labels and the frozen adjacency) and frequency tables, and owns its
   // lazily filled profile and ball caches, written only by the shard's own
   // scatter task or the router thread. No ball is built here: a ball built
-  // on first score equals the sequential path's, whenever that is.
-  shards_[0].sim = std::make_unique<core::SimilarityComputer>(
+  // on first score equals the sequential path's, whenever that is. Each
+  // shard's text/venue profiles (current: folded at every commit) move
+  // into its new computer; placement never changes, so they stay with the
+  // shard that scores their vertices.
+  std::vector<std::unique_ptr<core::SimilarityComputer>> next(shards_.size());
+  next[0] = std::make_unique<core::SimilarityComputer>(
       *db_, result_->graph, result_->embeddings, config_, pool_.get());
   for (size_t s = 1; s < shards_.size(); ++s) {
-    shards_[s].sim =
-        std::make_unique<core::SimilarityComputer>(*shards_[0].sim);
+    next[s] = std::make_unique<core::SimilarityComputer>(*next[0]);
+  }
+  for (size_t s = 0; s < shards_.size(); ++s) {
+    if (shards_[s].sim != nullptr) {
+      next[s]->AdoptProfiles(std::move(*shards_[s].sim));
+    }
+    shards_[s].sim = std::move(next[s]);
   }
   since_refresh_ = 0;
   ctr_refreshes_->Increment();

@@ -35,12 +35,12 @@
 ///      not replicated). Frozen is exact, not approximate: WL labels, the
 ///      adjacency WL balls are built from, and corpus frequency tables are
 ///      snapshotted at refresh time (core::SimilarityComputer), so a ball
-///      first built mid-window equals one built at the refresh; profiles
-///      of touched vertices are invalidated by commits, and γ2 (the one
-///      live cross-block read, triangles) is masked out of incremental
-///      scoring — so a speculatively-scored decision is bit-equal to the
-///      one sequential AddPaper would compute after the disjoint
-///      predecessors commit.
+///      first built mid-window equals one built at the refresh; a text/venue
+///      profile is a pure function of its vertex's papers, which only
+///      same-block commits change; and γ2 (the one live cross-block read,
+///      triangles) is masked out of incremental scoring — so a
+///      speculatively-scored decision is bit-equal to the one sequential
+///      AddPaper would compute after the disjoint predecessors commit.
 ///      Bylines that DO conflict are deferred (the scoreboard records which
 ///      commit version each decision read, so staleness is detected, not
 ///      assumed).
@@ -49,16 +49,19 @@
 ///      owning shard against the now-current snapshot (the "speculative
 ///      rescore" path; with every predecessor committed this is exactly the
 ///      sequential scoring state), then the same ApplyDecisions as the
-///      sequential path runs, stale profiles are invalidated on the owning
-///      shards, the promise resolves, and the admission window advances.
+///      sequential path runs, the paper is folded into the touched
+///      vertices' profiles on the owning shards (bit-equal to a rebuild),
+///      the promise resolves, and the admission window advances.
 ///   4. REFRESH  — every config.incremental_refresh_interval applied papers
-///      (the same cadence as the raw incremental path) one
-///      SimilarityComputer is rebuilt on the current graph (WL refinement
-///      across the shard pool) and copied per shard; the copies share its
-///      immutable WL state and start with empty caches, and WL balls are
-///      built from the kernel's frozen adjacency when first scored. The
-///      window cap makes the refresh a full pipeline barrier at exactly the
-///      sequential path's paper counts.
+///      (the same cadence as the raw incremental path), after the
+///      window's promises resolve, one SimilarityComputer is rebuilt on
+///      the current graph (WL refinement across the shard pool) and copied
+///      per shard; the copies share its immutable WL state, WL balls are
+///      built from the kernel's frozen adjacency when first scored, and
+///      each shard's profile map moves into its new copy. The window cap
+///      puts the refresh after a window's last paper, and the next window
+///      is extracted only after it: a full pipeline barrier at exactly
+///      the sequential path's paper counts.
 ///
 /// pipeline_depth = 1 degenerates to the pre-pipeline router: one paper per
 /// window, nothing deferred, scatter/commit per paper.
@@ -215,7 +218,7 @@ class ShardRouter : public serve::Frontend {
     int64_t extract_ns = 0;  ///< Window-extraction stamp.
     int64_t scatter_ns = 0;  ///< Scatter-phase duration of this window.
     int64_t rescore_ns = 0;  ///< Deferred-byline rescore duration.
-    int64_t apply_ns = 0;    ///< Commit (apply + invalidate) duration.
+    int64_t apply_ns = 0;    ///< Commit (apply + profile fold) duration.
   };
 
   void RouterLoop();
@@ -228,11 +231,12 @@ class ShardRouter : public serve::Frontend {
   /// grouped by owning shard, against the frozen pre-window snapshot.
   void ScatterWindow(std::vector<InFlight>* window);
   /// Phase 2 for one in-flight paper at its turn in the sequence: rescore
-  /// deferred bylines, ApplyDecisions, invalidate, count.
+  /// deferred bylines, ApplyDecisions, fold profiles, count.
   Assignments CommitPaper(InFlight* w);
   /// Rebuilds the similarity state on the current graph and gives every
   /// shard its own computer over it (γ1 is frozen at this snapshot; see
-  /// core::SimilarityComputer). Builds no WL ball.
+  /// core::SimilarityComputer), moving the shard's profiles into it. Builds
+  /// no WL ball.
   void RefreshShards();
   void PublishView();
   std::shared_ptr<const ReadView> CurrentView() const;

@@ -13,10 +13,11 @@
 /// every Frontend's ingestion outcome is byte-identical to sequential
 /// AddPaper in sequence order, replaying the logged attempt sequence from a
 /// checkpoint taken at a refresh boundary reproduces the pre-crash state
-/// exactly — score bits included. Checkpoints are only ever taken when
-/// `since_refresh == 0` (similarity caches freshly rebuilt), which is the
-/// one point where a newly constructed frontend's cache state matches the
-/// uninterrupted run's.
+/// exactly — score bits included. Checkpoints are only ever taken at the
+/// commit that makes the similarity refresh due (the snapshot is the state
+/// that refresh is built on), which is the one point where a newly
+/// constructed frontend's similarity snapshot matches the uninterrupted
+/// run's; carried vertex profiles equal fresh builds at any point.
 ///
 /// Record format (io::Writer codec, host-endian like snapshots):
 ///

@@ -3,9 +3,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <memory>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "core/similarity.h"
 #include "testing_utils.h"
+#include "text/tokenizer.h"
+#include "util/rng.h"
 
 namespace iuad::core {
 namespace {
@@ -23,6 +29,14 @@ IuadConfig DefaultConfig() {
   IuadConfig cfg;
   cfg.wl_iterations = 2;
   return cfg;
+}
+
+/// γ between `v` and the occurrence of `name` in `paper`, prepared for
+/// this one call.
+SimilarityVector VsNewPaper(const SimilarityComputer& sim, VertexId v,
+                            const data::Paper& paper,
+                            const std::string& name) {
+  return sim.ComputeVsNewPaper(v, sim.PrepareNewOccurrence(paper, name));
 }
 
 /// Fixture: two same-name vertices with controllable overlap.
@@ -158,9 +172,10 @@ TEST_F(SimilarityFixture, SelfSimilarityIsMaximalOnStructure) {
 TEST_F(SimilarityFixture, InvalidateProfileRefreshesAfterMutation) {
   SimilarityComputer sim(db_, g_, NoEmbeddings(), DefaultConfig());
   auto before = sim.Compute(vx1_, vx3_);
-  // Give vx3 the shared-venue paper p2 — γ6 must now see ICDE overlap.
+  // Give vx3 the shared-venue paper p2 — γ6 must now see ICDE overlap. p2
+  // sorts before vx3's p3, so this goes through the rebuild path.
   g_.AddVertexPapers(vx3_, {p2_});
-  sim.InvalidateProfile(vx3_);
+  sim.FoldProfile(vx3_);
   auto after = sim.Compute(vx1_, vx3_);
   EXPECT_GT(after[5], before[5]);
 }
@@ -173,8 +188,8 @@ TEST_F(SimilarityFixture, ComputeVsNewPaperMatchesSemantics) {
                                                "kernels forever", "ICDE", 2013);
   data::Paper far = iuad::testing::MakePaper({"X", "Zed"},
                                              "volcano tectonics", "GeoConf", 2013);
-  auto g_close = sim.ComputeVsNewPaper(vx1_, close, "X");
-  auto g_far = sim.ComputeVsNewPaper(vx1_, far, "X");
+  auto g_close = VsNewPaper(sim, vx1_, close, "X");
+  auto g_far = VsNewPaper(sim, vx1_, far, "X");
   ASSERT_EQ(g_close.size(), static_cast<size_t>(kNumSimilarities));
   EXPECT_DOUBLE_EQ(g_close[1], 0.0);  // isolated occurrence: no cliques
   EXPECT_DOUBLE_EQ(g_far[1], 0.0);
@@ -187,19 +202,19 @@ TEST_F(SimilarityFixture, ComputeVsNewPaperWlUsesCoauthorNames) {
   SimilarityComputer sim(db_, g_, NoEmbeddings(), DefaultConfig());
   // A single-author paper carries no structural evidence at all.
   data::Paper solo = iuad::testing::MakePaper({"X"}, "anything", "V", 2020);
-  EXPECT_DOUBLE_EQ(sim.ComputeVsNewPaper(vx1_, solo, "X")[0], 0.0);
+  EXPECT_DOUBLE_EQ(VsNewPaper(sim, vx1_, solo, "X")[0], 0.0);
   // A paper co-authored with Alice: positive against vx1 (Alice is in its
   // ball), zero against the isolated vx3.
   data::Paper with_alice =
       iuad::testing::MakePaper({"X", "Alice"}, "anything", "V", 2020);
-  const double k1 = sim.ComputeVsNewPaper(vx1_, with_alice, "X")[0];
+  const double k1 = VsNewPaper(sim, vx1_, with_alice, "X")[0];
   EXPECT_GT(k1, 0.0);
   EXPECT_LE(k1, 1.0);
-  EXPECT_DOUBLE_EQ(sim.ComputeVsNewPaper(vx3_, with_alice, "X")[0], 0.0);
+  EXPECT_DOUBLE_EQ(VsNewPaper(sim, vx3_, with_alice, "X")[0], 0.0);
   // Unknown co-author names give nothing.
   data::Paper with_stranger =
       iuad::testing::MakePaper({"X", "Stranger"}, "anything", "V", 2020);
-  EXPECT_DOUBLE_EQ(sim.ComputeVsNewPaper(vx1_, with_stranger, "X")[0], 0.0);
+  EXPECT_DOUBLE_EQ(VsNewPaper(sim, vx1_, with_stranger, "X")[0], 0.0);
 }
 
 uint64_t Bits(double x) {
@@ -217,7 +232,7 @@ TEST_F(SimilarityFixture, NewPaperWlIsFixedAtConstructionNotAtFirstScore) {
   SimilarityComputer second(db_, g_, NoEmbeddings(), DefaultConfig());
   const data::Paper paper =
       iuad::testing::MakePaper({"X", "Alice", "Bob"}, "anything", "V", 2020);
-  const double before = first.ComputeVsNewPaper(vx1_, paper, "X")[0];
+  const double before = VsNewPaper(first, vx1_, paper, "X")[0];
   ASSERT_GT(before, 0.0);
 
   // Within 2 hops of vx1: a new "Bob" vertex that bridges to vx3, and an
@@ -229,7 +244,7 @@ TEST_F(SimilarityFixture, NewPaperWlIsFixedAtConstructionNotAtFirstScore) {
   ASSERT_TRUE(g_.AddEdgePapers(late_bob, vx3_, {p3_}).ok());
   ASSERT_TRUE(g_.AddEdgePapers(a1_, a2_, {p3_}).ok());
 
-  const double after = second.ComputeVsNewPaper(vx1_, paper, "X")[0];
+  const double after = VsNewPaper(second, vx1_, paper, "X")[0];
   EXPECT_EQ(Bits(after), Bits(before)) << before << " vs " << after;
 }
 
@@ -246,6 +261,174 @@ TEST_F(SimilarityFixture, AllOverlapFeaturesNonNegative) {
     }
   }
 }
+
+// ---------------------------------------------------------------------------
+// Profile folding: a seeded property over random histories and streams.
+// ---------------------------------------------------------------------------
+
+/// Random title from an embedded vocabulary and a few words the embeddings
+/// never saw; sometimes only the latter (a paper with no embedded keyword).
+std::string RandomTitle(iuad::Rng* rng) {
+  static const char* const kEmbedded[] = {
+      "graph",   "kernel",  "mining",  "query",   "stream",  "index",
+      "learning", "network", "cluster", "privacy", "storage", "ranking"};
+  static const char* const kUnembedded[] = {"zebra", "quartz", "fjord",
+                                            "nimbus"};
+  std::string title;
+  const bool unembedded_only = rng->Bernoulli(0.2);
+  const int words = static_cast<int>(rng->UniformInt(1, 3));
+  for (int w = 0; w < words; ++w) {
+    if (!title.empty()) title += ' ';
+    if (unembedded_only || rng->Bernoulli(0.2)) {
+      title += kUnembedded[rng->NextBounded(4)];
+    } else {
+      title += kEmbedded[rng->NextBounded(12)];
+    }
+  }
+  return title;
+}
+
+/// A byline of 1-3 names from a six-name pool; a name may repeat.
+data::Paper RandomPaper(iuad::Rng* rng) {
+  static const char* const kVenues[] = {"VA", "VB", "VC"};
+  std::vector<std::string> names;
+  const int authors = static_cast<int>(rng->UniformInt(1, 3));
+  for (int a = 0; a < authors; ++a) {
+    names.push_back("N" + std::to_string(rng->NextBounded(6)));
+  }
+  return iuad::testing::MakePaper(
+      std::move(names), RandomTitle(rng), kVenues[rng->NextBounded(3)],
+      static_cast<int>(rng->UniformInt(2000, 2010)));
+}
+
+/// Commits `paper` the way ApplyDecisions does: one target per byline (a
+/// repeated name gets the same vertex, as its two identical decisions
+/// would), then the byline's edges. Returns the touched vertices.
+std::vector<VertexId> CommitRandomly(const data::Paper& paper,
+                                     data::PaperDatabase* db, CollabGraph* g,
+                                     iuad::Rng* rng) {
+  const int pid = db->AddPaper(paper);
+  std::vector<VertexId> byline;
+  std::vector<VertexId> touched;
+  for (size_t i = 0; i < paper.author_names.size(); ++i) {
+    const std::string& name = paper.author_names[i];
+    VertexId target = -1;
+    for (size_t j = 0; j < i; ++j) {
+      if (paper.author_names[j] == name) target = byline[j];
+    }
+    const auto& candidates = g->VerticesWithName(name);
+    if (target < 0 && !candidates.empty() && rng->Bernoulli(0.8)) {
+      target = candidates[rng->NextBounded(candidates.size())];
+    }
+    if (target < 0) {
+      target = g->AddVertex(name, {pid});
+    } else {
+      g->AddVertexPapers(target, {pid});
+      touched.push_back(target);
+    }
+    byline.push_back(target);
+  }
+  for (size_t i = 0; i < byline.size(); ++i) {
+    for (size_t j = i + 1; j < byline.size(); ++j) {
+      if (byline[i] == byline[j]) continue;
+      EXPECT_TRUE(g->AddEdgePapers(byline[i], byline[j], {pid}).ok());
+      touched.push_back(byline[i]);
+      touched.push_back(byline[j]);
+    }
+  }
+  return touched;
+}
+
+/// Property: a profile folded commit by commit and carried across
+/// refreshes scores bit-for-bit like one built from scratch. The fresh
+/// side is a copy of a computer built at the same refresh that never
+/// scored: it shares the WL snapshot and frequency tables, so only the
+/// profiles can differ. Streams cover a byline repeating a name (the
+/// vertex gains the paper twice), representative-venue ties (three
+/// venues), papers with no embedded keyword, and vertices that gain papers
+/// before their first score.
+class ProfileFoldPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ProfileFoldPropertyTest, FoldedAndCarriedProfilesMatchFreshBuilds) {
+  iuad::Rng rng(static_cast<uint64_t>(GetParam()));
+  data::PaperDatabase db;
+  CollabGraph g;
+  for (int i = 0; i < 25; ++i) {
+    CommitRandomly(RandomPaper(&rng), &db, &g, &rng);
+  }
+  std::vector<std::vector<std::string>> sentences;
+  for (int i = 0; i < 60; ++i) {
+    std::vector<std::string> words;
+    for (const auto& w : text::ExtractKeywords(RandomTitle(&rng))) {
+      if (w != "zebra" && w != "quartz" && w != "fjord" && w != "nimbus") {
+        words.push_back(w);
+      }
+    }
+    sentences.push_back(std::move(words));
+  }
+  text::Word2VecConfig wc;
+  wc.dim = 8;
+  wc.min_count = 1;
+  wc.epochs = 2;
+  text::Word2Vec w2v(wc);
+  ASSERT_TRUE(w2v.Train(sentences).ok());
+  const IuadConfig cfg = DefaultConfig();
+  constexpr int kRefreshInterval = 4;
+
+  // One probe per venue, so every representative venue meets a match.
+  std::vector<data::Paper> probes;
+  for (const char* venue : {"VA", "VB", "VC"}) {
+    data::Paper probe = RandomPaper(&rng);
+    probe.venue = venue;
+    probe.author_names.push_back("N0");
+    probes.push_back(std::move(probe));
+  }
+
+  auto carried = std::make_unique<SimilarityComputer>(db, g, w2v, cfg);
+  auto pristine = std::make_unique<SimilarityComputer>(*carried);
+  std::set<VertexId> scored;  // exactly the vertices with a cached profile
+  for (int step = 0; step < 48; ++step) {
+    const data::Paper paper = RandomPaper(&rng);
+    // Score the byline's candidates as ingestion would, but not always:
+    // unscored vertices gain papers before their first score.
+    if (rng.Bernoulli(0.7)) {
+      for (const auto& name : paper.author_names) {
+        for (VertexId v : g.VerticesWithName(name)) {
+          (void)VsNewPaper(*carried, v, paper, name);
+          scored.insert(v);
+        }
+      }
+    }
+    for (VertexId v : CommitRandomly(paper, &db, &g, &rng)) {
+      carried->FoldProfile(v);
+    }
+    if ((step + 1) % kRefreshInterval == 0) {
+      g.Compact();
+      auto next = std::make_unique<SimilarityComputer>(db, g, w2v, cfg);
+      pristine = std::make_unique<SimilarityComputer>(*next);
+      next->AdoptProfiles(std::move(*carried));
+      carried = std::move(next);
+    }
+
+    const SimilarityComputer fresh(*pristine);
+    for (VertexId v : scored) {
+      for (const auto& probe : probes) {
+        const auto got = VsNewPaper(*carried, v, probe, "N0");
+        const auto want = VsNewPaper(fresh, v, probe, "N0");
+        for (int f = 0; f < kNumSimilarities; ++f) {
+          ASSERT_EQ(Bits(got[static_cast<size_t>(f)]),
+                    Bits(want[static_cast<size_t>(f)]))
+              << "seed " << GetParam() << " step " << step << " vertex " << v
+              << " feature " << f << " probe venue " << probe.venue;
+        }
+      }
+    }
+  }
+  EXPECT_GT(scored.size(), 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ProfileFoldPropertyTest,
+                         ::testing::Range(1, 13));
 
 }  // namespace
 }  // namespace iuad::core

@@ -353,18 +353,22 @@ TEST(WlKernelTest, NameSetKernelCountsBallMatches) {
   ASSERT_TRUE(g.AddEdgePapers(v, b, {1}).ok());
   WlVertexKernel wl(g, 2);
   // Both names in the ball: strong signal.
-  const double both = wl.NormalizedKernelVsNameSet(v, {"Alice", "Bob"});
-  const double one = wl.NormalizedKernelVsNameSet(v, {"Alice", "Nobody"});
-  const double none = wl.NormalizedKernelVsNameSet(v, {"Zed", "Nobody"});
+  auto vs_names = [&](const std::vector<std::string>& names) {
+    return wl.NormalizedKernelVsNameSet(v, wl.ResolveNameSet(names));
+  };
+  const double both = vs_names({"Alice", "Bob"});
+  const double one = vs_names({"Alice", "Nobody"});
+  const double none = vs_names({"Zed", "Nobody"});
   EXPECT_GT(both, one);
   EXPECT_GT(one, none);
   EXPECT_DOUBLE_EQ(none, 0.0);
   EXPECT_LE(both, 1.0);
   // Degenerate inputs.
-  EXPECT_DOUBLE_EQ(wl.NormalizedKernelVsNameSet(v, {}), 0.0);
+  EXPECT_DOUBLE_EQ(vs_names({}), 0.0);
   const VertexId iso = g.AddVertex("Q", {});
   WlVertexKernel wl2(g, 2);
-  EXPECT_DOUBLE_EQ(wl2.NormalizedKernelVsNameSet(iso, {"Alice"}), 0.0);
+  EXPECT_DOUBLE_EQ(
+      wl2.NormalizedKernelVsNameSet(iso, wl2.ResolveNameSet({"Alice"})), 0.0);
 }
 
 TEST(WlKernelTest, PostBuildVerticesHandledConservatively) {
@@ -374,7 +378,8 @@ TEST(WlKernelTest, PostBuildVerticesHandledConservatively) {
   ASSERT_TRUE(g.AddEdgePapers(a, b, {0}).ok());
   WlVertexKernel wl(g, 2);
   const VertexId late = g.AddVertex("A", {});  // added after Build
-  EXPECT_DOUBLE_EQ(wl.NormalizedKernelVsNameSet(late, {"B"}), 0.0);
+  EXPECT_DOUBLE_EQ(
+      wl.NormalizedKernelVsNameSet(late, wl.ResolveNameSet({"B"})), 0.0);
   EXPECT_DOUBLE_EQ(wl.NormalizedKernel(a, late), 0.0);
 }
 
@@ -552,9 +557,12 @@ TEST(WlKernelTest, KernelsMatchReferenceHistogramsBitForBit) {
               ? 0.0
               : std::min(1.0, cross / std::sqrt(static_cast<double>(set.size()) *
                                                 self[sv]));
-      ASSERT_EQ(Bits(lazy.NormalizedKernelVsNameSet(v, set)), Bits(expected))
+      ASSERT_EQ(
+          Bits(lazy.NormalizedKernelVsNameSet(v, lazy.ResolveNameSet(set))),
+          Bits(expected))
           << v;
-      ASSERT_EQ(Bits(prewarmed.NormalizedKernelVsNameSet(v, set)),
+      ASSERT_EQ(Bits(prewarmed.NormalizedKernelVsNameSet(
+                    v, prewarmed.ResolveNameSet(set))),
                 Bits(expected))
           << v;
     }
