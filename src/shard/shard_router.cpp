@@ -314,15 +314,19 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
     // Group commit at window granularity: one fsync can cover the whole
     // window's records when the cadence fires; on the idle transition
     // (nothing consumable queued) force the flush so a burst's tail never
-    // sits un-durable. Never under mu_ — producers must not block on an
-    // fsync.
-    bool idle;
+    // sits un-durable, and likewise while a Drain waits, since it returns
+    // only once the WAL is flushed through its target. Never under mu_ —
+    // producers must not block on an fsync.
+    bool force;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      idle = pending_.count(next_apply_) == 0;
+      force = pending_.count(next_apply_) == 0 || drain_waiters_ > 0;
     }
-    if (idle) {
-      (void)wal_->Flush();
+    if (force) {
+      (void)wal_->Flush();  // a sticky failure still releases the drain
+      std::lock_guard<std::mutex> lock(mu_);
+      durable_through_ = next_apply_;
+      applied_cv_.notify_all();
     } else {
       wal_->MaybeFlush();
     }
@@ -597,6 +601,7 @@ void ShardRouter::RouterLoop() {
       PublishView();
       lock.lock();
       published_through_ = through;
+      durable_through_ = through;
       applied_cv_.notify_all();
       continue;
     }
@@ -613,6 +618,7 @@ void ShardRouter::RouterLoop() {
     PublishView();
     lock.lock();
     published_through_ = next_apply_;
+    durable_through_ = next_apply_;
     applied_cv_.notify_all();
     return;
   }
@@ -624,7 +630,8 @@ void ShardRouter::Drain() {
   ++drain_waiters_;
   ready_cv_.notify_one();  // an idle router may owe us a publish
   applied_cv_.wait(lock, [&] {
-    return (next_apply_ >= target && published_through_ >= target) ||
+    return (next_apply_ >= target && published_through_ >= target &&
+            (wal_ == nullptr || durable_through_ >= target)) ||
            (stopping_ && joined_);
   });
   --drain_waiters_;

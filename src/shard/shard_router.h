@@ -137,8 +137,8 @@ class ShardRouter : public serve::Frontend {
   std::vector<std::future<Assignments>> SubmitBatch(
       std::vector<data::Paper> papers) override;
 
-  /// Blocks until everything admitted at call time is applied and
-  /// published.
+  /// Blocks until everything admitted at call time is applied, published
+  /// and, with a WAL, flushed to it.
   void Drain() override;
 
   /// Drains, refuses further submissions, joins. Idempotent.
@@ -266,6 +266,12 @@ class ShardRouter : public serve::Frontend {
   /// them. Equals next_apply_ when the router is between windows.
   uint64_t in_flight_hi_ = 0;
   uint64_t published_through_ = 0;
+  /// Sequences below this are flushed to wal_ (or met its sticky flush
+  /// error); Drain waits for it too. Unused without a WAL. Every window
+  /// that leaves the router idle, or ends while a Drain waits, flushes
+  /// and advances it, so the router never sleeps with it behind
+  /// next_apply_.
+  uint64_t durable_through_ = 0;
   int drain_waiters_ = 0;
   bool stopping_ = false;
   bool join_claimed_ = false;

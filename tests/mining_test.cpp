@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <set>
+#include <tuple>
+#include <utility>
 
-#include "mining/apriori.h"
-#include "mining/fpgrowth.h"
 #include "mining/pair_miner.h"
 #include "util/rng.h"
 
@@ -37,191 +39,8 @@ TEST(ItemEncoderTest, EncodeDecodeRoundTrip) {
   EXPECT_NE(a, b);
   EXPECT_EQ(enc.Encode("Wei Wang"), a);
   EXPECT_EQ(enc.Decode(b), "Dong Wang");
-  EXPECT_EQ(enc.size(), 2);
   EXPECT_EQ(enc.Find("Wei Wang"), a);
   EXPECT_EQ(enc.Find("Nobody"), -1);
-}
-
-// --------------------------- FP-growth --------------------------------------
-
-TEST(FpGrowthTest, RejectsBadOptions) {
-  EXPECT_FALSE(FpGrowth({{1}}, {/*min_support=*/0}).ok());
-  FpGrowthOptions bad;
-  bad.max_itemset_size = -1;
-  EXPECT_FALSE(FpGrowth({{1}}, bad).ok());
-}
-
-TEST(FpGrowthTest, EmptyInputYieldsNothing) {
-  auto r = FpGrowth({}, {/*min_support=*/1});
-  ASSERT_TRUE(r.ok());
-  EXPECT_TRUE(r->empty());
-}
-
-TEST(FpGrowthTest, KnownSupportsOnClassicExample) {
-  auto r = FpGrowth(ClassicTransactions(), {/*min_support=*/2});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(SupportOf(*r, {1}), 7);
-  EXPECT_EQ(SupportOf(*r, {0}), 6);
-  EXPECT_EQ(SupportOf(*r, {2}), 7);
-  EXPECT_EQ(SupportOf(*r, {0, 1}), 4);
-  EXPECT_EQ(SupportOf(*r, {0, 2}), 5);
-  EXPECT_EQ(SupportOf(*r, {1, 2}), 5);
-  EXPECT_EQ(SupportOf(*r, {0, 1, 2}), 3);
-  EXPECT_EQ(SupportOf(*r, {1, 3}), 2);
-  EXPECT_EQ(SupportOf(*r, {4}), -1);  // below support
-}
-
-TEST(FpGrowthTest, MaxItemsetSizeLimitsDepth) {
-  auto r = FpGrowth(ClassicTransactions(), {/*min_support=*/2,
-                                            /*max_itemset_size=*/2});
-  ASSERT_TRUE(r.ok());
-  for (const auto& fi : *r) EXPECT_LE(fi.items.size(), 2u);
-  EXPECT_EQ(SupportOf(*r, {0, 1}), 4);  // pairs still present
-  EXPECT_EQ(SupportOf(*r, {0, 1, 2}), -1);
-}
-
-TEST(FpGrowthTest, DuplicateItemsInTransactionCountOnce) {
-  auto r = FpGrowth({{1, 1, 2}, {1, 2, 2}}, {/*min_support=*/2});
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(SupportOf(*r, {1}), 2);
-  EXPECT_EQ(SupportOf(*r, {1, 2}), 2);
-}
-
-TEST(FpGrowthTest, SingleItemTransactions) {
-  auto r = FpGrowth({{5}, {5}, {7}}, {/*min_support=*/2});
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_EQ((*r)[0].items, (std::vector<Item>{5}));
-  EXPECT_EQ((*r)[0].support, 2);
-}
-
-// Parallel mining fans top-level conditional-tree projections over a
-// thread pool with item-order concatenation: the result must be the exact
-// sequence the serial miner emits — not merely the same set.
-TEST(FpGrowthTest, ParallelMiningIsByteIdenticalToSerial) {
-  iuad::Rng rng(91);
-  std::vector<Transaction> txs;
-  for (int i = 0; i < 200; ++i) {
-    Transaction t;
-    const int len = 1 + static_cast<int>(rng.NextBounded(7));
-    for (int j = 0; j < len; ++j) {
-      t.push_back(static_cast<Item>(rng.NextBounded(20)));
-    }
-    txs.push_back(std::move(t));
-  }
-  for (int max_size : {0, 2, 3}) {
-    auto serial = FpGrowth(txs, {2, max_size, /*num_threads=*/1});
-    auto parallel = FpGrowth(txs, {2, max_size, /*num_threads=*/4});
-    auto auto_threads = FpGrowth(txs, {2, max_size, /*num_threads=*/0});
-    ASSERT_TRUE(serial.ok());
-    ASSERT_TRUE(parallel.ok());
-    ASSERT_TRUE(auto_threads.ok());
-    EXPECT_EQ(*serial, *parallel) << "max_size=" << max_size;
-    EXPECT_EQ(*serial, *auto_threads) << "max_size=" << max_size;
-  }
-}
-
-// Property test: FP-growth and Apriori must agree exactly on random inputs.
-class MinerAgreementTest
-    : public ::testing::TestWithParam<std::tuple<int, int>> {};
-
-TEST_P(MinerAgreementTest, FpGrowthMatchesApriori) {
-  const auto [seed, min_support] = GetParam();
-  iuad::Rng rng(static_cast<uint64_t>(seed));
-  std::vector<Transaction> txs;
-  const int n_tx = 60 + static_cast<int>(rng.NextBounded(60));
-  for (int i = 0; i < n_tx; ++i) {
-    Transaction t;
-    const int len = 1 + static_cast<int>(rng.NextBounded(6));
-    for (int j = 0; j < len; ++j) {
-      t.push_back(static_cast<Item>(rng.NextBounded(12)));
-    }
-    txs.push_back(std::move(t));
-  }
-  auto fp = FpGrowth(txs, {min_support});
-  auto ap = Apriori(txs, min_support);
-  ASSERT_TRUE(fp.ok());
-  ASSERT_TRUE(ap.ok());
-  SortItemsets(&*fp);
-  SortItemsets(&*ap);
-  EXPECT_EQ(*fp, *ap) << "seed=" << seed << " min_support=" << min_support;
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    RandomInputs, MinerAgreementTest,
-    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6, 7, 8),
-                       ::testing::Values(2, 3, 5)));
-
-// Property: every itemset's support is the true containment count.
-TEST(FpGrowthTest, ReportedSupportsAreExact) {
-  iuad::Rng rng(77);
-  std::vector<Transaction> txs;
-  for (int i = 0; i < 80; ++i) {
-    Transaction t;
-    for (int j = 0; j < 5; ++j) {
-      t.push_back(static_cast<Item>(rng.NextBounded(10)));
-    }
-    txs.push_back(t);
-  }
-  auto r = FpGrowth(txs, {3});
-  ASSERT_TRUE(r.ok());
-  for (const auto& fi : *r) {
-    int64_t count = 0;
-    for (auto t : txs) {
-      std::sort(t.begin(), t.end());
-      t.erase(std::unique(t.begin(), t.end()), t.end());
-      if (std::includes(t.begin(), t.end(), fi.items.begin(), fi.items.end())) {
-        ++count;
-      }
-    }
-    EXPECT_EQ(fi.support, count);
-  }
-}
-
-// Property: downward closure — every subset of a frequent itemset is
-// frequent with support >= the superset's.
-TEST(FpGrowthTest, DownwardClosureHolds) {
-  iuad::Rng rng(78);
-  std::vector<Transaction> txs;
-  for (int i = 0; i < 70; ++i) {
-    Transaction t;
-    for (int j = 0; j < 6; ++j) {
-      t.push_back(static_cast<Item>(rng.NextBounded(9)));
-    }
-    txs.push_back(std::move(t));
-  }
-  auto r = FpGrowth(txs, {2});
-  ASSERT_TRUE(r.ok());
-  auto support_of = [&](const std::vector<Item>& items) {
-    for (const auto& fi : *r) {
-      if (fi.items == items) return fi.support;
-    }
-    return static_cast<int64_t>(-1);
-  };
-  for (const auto& fi : *r) {
-    if (fi.items.size() < 2) continue;
-    for (size_t drop = 0; drop < fi.items.size(); ++drop) {
-      std::vector<Item> sub;
-      for (size_t k = 0; k < fi.items.size(); ++k) {
-        if (k != drop) sub.push_back(fi.items[k]);
-      }
-      const int64_t s = support_of(sub);
-      ASSERT_NE(s, -1);
-      EXPECT_GE(s, fi.support);
-    }
-  }
-}
-
-// --------------------------- Apriori ----------------------------------------
-
-TEST(AprioriTest, RejectsBadSupport) {
-  EXPECT_FALSE(Apriori({{1}}, 0).ok());
-}
-
-TEST(AprioriTest, MaxSizeRespected) {
-  auto r = Apriori(ClassicTransactions(), 2, /*max_itemset_size=*/1);
-  ASSERT_TRUE(r.ok());
-  for (const auto& fi : *r) EXPECT_EQ(fi.items.size(), 1u);
 }
 
 // --------------------------- PairCounter ------------------------------------
@@ -247,36 +66,89 @@ TEST(PairCounterTest, DuplicatesInTransactionCollapse) {
 
 TEST(PairCounterTest, FrequentPairsThreshold) {
   PairCounter pc;
-  pc.AddAll({{1, 2}, {1, 2}, {1, 3}});
+  pc.AddTransaction({1, 2});
+  pc.AddTransaction({1, 2});
+  pc.AddTransaction({1, 3});
   auto pairs = pc.FrequentPairs(2);
   ASSERT_EQ(pairs.size(), 1u);
   EXPECT_EQ(pairs[0].items, (std::vector<Item>{1, 2}));
   EXPECT_EQ(pairs[0].support, 2);
 }
 
-TEST(PairCounterTest, AgreesWithFpGrowthOnPairs) {
-  iuad::Rng rng(42);
-  std::vector<Transaction> txs;
-  for (int i = 0; i < 100; ++i) {
+// Known answer: the pair supports of the classic example at η = 2.
+TEST(PairCounterTest, KnownSupportsOnClassicExample) {
+  PairCounter pc;
+  for (const Transaction& t : ClassicTransactions()) pc.AddTransaction(t);
+  const auto pairs = pc.FrequentPairs(2);
+  EXPECT_EQ(pairs.size(), 4u);
+  EXPECT_EQ(SupportOf(pairs, {0, 1}), 4);
+  EXPECT_EQ(SupportOf(pairs, {0, 2}), 5);
+  EXPECT_EQ(SupportOf(pairs, {1, 2}), 5);
+  EXPECT_EQ(SupportOf(pairs, {1, 3}), 2);
+  EXPECT_EQ(SupportOf(pairs, {2, 4}), -1);  // below support
+  EXPECT_EQ(pc.CountOf(2, 4), 1);
+}
+
+// Property test: on seeded random transactions (duplicate items, single-item
+// and empty transactions included), PairCounter agrees with brute-force
+// enumeration of every unordered distinct-item pair, counted once per
+// transaction, for both FrequentPairs and CountOf in either argument order.
+class PairCounterPropertyTest
+    : public ::testing::TestWithParam<std::tuple<int, int>> {};
+
+TEST_P(PairCounterPropertyTest, MatchesBruteForcePairEnumeration) {
+  constexpr Item kAlphabet = 10;
+  const auto [seed, min_support] = GetParam();
+  iuad::Rng rng(static_cast<uint64_t>(seed));
+  std::vector<Transaction> txs = {{}, {3}, {5, 5}, {2, 6, 2, 6, 2}};
+  const int n_tx = 40 + static_cast<int>(rng.NextBounded(40));
+  for (int i = 0; i < n_tx; ++i) {
     Transaction t;
-    for (int j = 0; j < 4; ++j) {
-      t.push_back(static_cast<Item>(rng.NextBounded(15)));
+    const int len = static_cast<int>(rng.NextBounded(8));  // 0..7 items
+    for (int j = 0; j < len; ++j) {
+      t.push_back(static_cast<Item>(rng.NextBounded(kAlphabet)));
     }
     txs.push_back(std::move(t));
   }
+
+  std::map<std::pair<Item, Item>, int64_t> expected;
   PairCounter pc;
-  pc.AddAll(txs);
-  auto from_counter = pc.FrequentPairs(3);
-  auto fp = FpGrowth(txs, {3, /*max_itemset_size=*/2});
-  ASSERT_TRUE(fp.ok());
-  std::vector<FrequentItemset> fp_pairs;
-  for (const auto& fi : *fp) {
-    if (fi.items.size() == 2) fp_pairs.push_back(fi);
+  for (const Transaction& t : txs) {
+    std::set<std::pair<Item, Item>> in_tx;
+    for (size_t i = 0; i < t.size(); ++i) {
+      for (size_t j = 0; j < t.size(); ++j) {
+        if (t[i] < t[j]) in_tx.insert({t[i], t[j]});
+      }
+    }
+    for (const auto& p : in_tx) ++expected[p];
+    pc.AddTransaction(t);
   }
-  SortItemsets(&from_counter);
-  SortItemsets(&fp_pairs);
-  EXPECT_EQ(from_counter, fp_pairs);
+
+  std::vector<FrequentItemset> want;
+  for (const auto& [p, count] : expected) {
+    if (count >= min_support) want.push_back({{p.first, p.second}, count});
+  }
+  auto got = pc.FrequentPairs(min_support);
+  std::sort(got.begin(), got.end(),
+            [](const FrequentItemset& x, const FrequentItemset& y) {
+              return x.items < y.items;
+            });
+  EXPECT_EQ(got, want) << "seed=" << seed << " min_support=" << min_support;
+
+  for (Item a = 0; a < kAlphabet; ++a) {
+    for (Item b = 0; b < kAlphabet; ++b) {
+      const auto it = expected.find({std::min(a, b), std::max(a, b)});
+      const int64_t count = it == expected.end() ? 0 : it->second;
+      EXPECT_EQ(pc.CountOf(a, b), count) << "a=" << a << " b=" << b;
+      EXPECT_EQ(pc.CountOf(b, a), count) << "a=" << a << " b=" << b;
+    }
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    RandomInputs, PairCounterPropertyTest,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4, 5, 6),
+                       ::testing::Values(1, 2, 3, 4, 5)));
 
 TEST(PairKeyTest, RoundTrip) {
   const uint64_t key = PairKey(123456, 654321);

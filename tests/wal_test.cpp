@@ -561,5 +561,37 @@ TEST(WalGroupCommitTest, DefaultCadenceMatchesSequentialAtOneAndFourShards) {
   }
 }
 
+/// Drain's durability contract when the drain point is reached by a
+/// publish inside a window rather than by the idle-time drain branch: with
+/// one-paper windows, a publish every 8 papers and no cadence-driven fsync
+/// (1000 records, no time trigger), the 16th paper publishes in the commit
+/// tail while its record is still buffered. Drain must not return until
+/// the WAL is flushed through it.
+TEST(WalGroupCommitTest, DrainReturnsOnlyOnceWalIsDurable) {
+  const uint64_t kSeed = 73;
+  const int kHoldout = 16;
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    core::IuadConfig cfg = FastConfig();
+    cfg.num_shards = shards;
+    cfg.ingest_refresh_window = 8;
+    cfg.pipeline_depth = 1;
+    Fixture f = MakeFixture(kSeed, kHoldout, cfg);
+    auto log = Log::Open(FreshWalDir("drain_s" + std::to_string(shards)),
+                         f.history.Fingerprint(), Options{1000, 0.0, 4096});
+    ASSERT_TRUE(log.ok()) << log.status().ToString();
+    shard::ShardRouter router(&f.history, &f.result, cfg, log->get());
+    std::vector<std::future<shard::ShardRouter::Assignments>> futures;
+    for (int i = 0; i < kHoldout; ++i) {
+      futures.push_back(router.SubmitAt(static_cast<uint64_t>(i), f.stream[i]));
+    }
+    router.Drain();
+    EXPECT_EQ((*log)->durable_next(), static_cast<uint64_t>(kHoldout));
+    for (auto& fut : futures) EXPECT_TRUE(fut.get().ok());
+    router.Stop();
+    ASSERT_TRUE((*log)->status().ok()) << (*log)->status().ToString();
+  }
+}
+
 }  // namespace
 }  // namespace iuad::wal
