@@ -314,21 +314,24 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
     // Group commit at window granularity: one fsync can cover the whole
     // window's records when the cadence fires; on the idle transition
     // (nothing consumable queued) force the flush so a burst's tail never
-    // sits un-durable, and likewise while a Drain waits, since it returns
-    // only once the WAL is flushed through its target. Never under mu_ —
-    // producers must not block on an fsync.
-    bool force;
+    // sits un-durable. Either way, once nothing appended is left for a
+    // later flush, advance the durable frontier a Drain waits on. Never
+    // under mu_ — producers must not block on an fsync.
+    bool idle;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      force = pending_.count(next_apply_) == 0 || drain_waiters_ > 0;
+      idle = pending_.count(next_apply_) == 0;
     }
-    if (force) {
+    bool flushed = true;
+    if (idle) {
       (void)wal_->Flush();  // a sticky failure still releases the drain
+    } else {
+      flushed = wal_->MaybeFlush();
+    }
+    if (flushed) {
       std::lock_guard<std::mutex> lock(mu_);
       durable_through_ = next_apply_;
       applied_cv_.notify_all();
-    } else {
-      wal_->MaybeFlush();
     }
   }
   // REFRESH: same global cadence as the sequential path's

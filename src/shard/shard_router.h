@@ -267,10 +267,10 @@ class ShardRouter : public serve::Frontend {
   uint64_t in_flight_hi_ = 0;
   uint64_t published_through_ = 0;
   /// Sequences below this are flushed to wal_ (or met its sticky flush
-  /// error); Drain waits for it too. Unused without a WAL. Every window
-  /// that leaves the router idle, or ends while a Drain waits, flushes
-  /// and advances it, so the router never sleeps with it behind
-  /// next_apply_.
+  /// error); Drain waits for it too. Unused without a WAL. A window
+  /// advances it when its cadence flush fires, and every window that
+  /// leaves the router idle flushes and advances it, so the router never
+  /// sleeps with it behind next_apply_.
   uint64_t durable_through_ = 0;
   int drain_waiters_ = 0;
   bool stopping_ = false;

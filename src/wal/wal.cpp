@@ -565,19 +565,19 @@ iuad::Status Log::RotateSegment() {
   return OpenActiveSegment(buffered_next_);
 }
 
-void Log::MaybeFlush() {
-  if (buffered_records_ == 0 || !io_status_.ok()) return;
+bool Log::MaybeFlush() {
+  if (buffered_records_ == 0 || !io_status_.ok()) return true;
   bool due = buffered_records_ >= options_.fsync_every_n;
   if (!due && options_.fsync_interval_ms > 0) {
     due = static_cast<double>(SteadyNowNs() - last_sync_ns_) >=
           options_.fsync_interval_ms * 1e6;
   }
-  if (due) {
-    if (iuad::Status s = Flush(); !s.ok()) {
-      IUAD_LOG(kError) << "wal: flush failed, durability lost: "
-                       << s.ToString();
-    }
+  if (!due) return false;
+  if (iuad::Status s = Flush(); !s.ok()) {
+    IUAD_LOG(kError) << "wal: flush failed, durability lost: "
+                     << s.ToString();
   }
+  return true;
 }
 
 iuad::Status Log::Flush() {

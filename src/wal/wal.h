@@ -138,7 +138,10 @@ class Log {
 
   /// Flush+fsync if the group-commit cadence (fsync_every_n records or
   /// fsync_interval_ms elapsed) says so. Call once per pipelined window.
-  void MaybeFlush();
+  /// Returns false while appended records wait for a later flush; true
+  /// when it flushed, nothing was buffered, or the log's sticky failure
+  /// means no flush will ever come.
+  bool MaybeFlush();
 
   /// Unconditional flush+fsync of everything appended so far. Called on
   /// idle transitions, Drain, and Stop.

@@ -566,7 +566,9 @@ TEST(WalGroupCommitTest, DefaultCadenceMatchesSequentialAtOneAndFourShards) {
 /// one-paper windows, a publish every 8 papers and no cadence-driven fsync
 /// (1000 records, no time trigger), the 16th paper publishes in the commit
 /// tail while its record is still buffered. Drain must not return until
-/// the WAL is flushed through it.
+/// the WAL is flushed through it, and must add no fsync of its own: one
+/// batch queues every paper under one lock, so the queue stays non-empty
+/// until the last window and the idle flush after it is the only one.
 TEST(WalGroupCommitTest, DrainReturnsOnlyOnceWalIsDurable) {
   const uint64_t kSeed = 73;
   const int kHoldout = 16;
@@ -581,12 +583,10 @@ TEST(WalGroupCommitTest, DrainReturnsOnlyOnceWalIsDurable) {
                          f.history.Fingerprint(), Options{1000, 0.0, 4096});
     ASSERT_TRUE(log.ok()) << log.status().ToString();
     shard::ShardRouter router(&f.history, &f.result, cfg, log->get());
-    std::vector<std::future<shard::ShardRouter::Assignments>> futures;
-    for (int i = 0; i < kHoldout; ++i) {
-      futures.push_back(router.SubmitAt(static_cast<uint64_t>(i), f.stream[i]));
-    }
+    auto futures = router.SubmitBatch(f.stream);
     router.Drain();
     EXPECT_EQ((*log)->durable_next(), static_cast<uint64_t>(kHoldout));
+    EXPECT_EQ(router.Stats().wal_fsyncs, 1);
     for (auto& fut : futures) EXPECT_TRUE(fut.get().ok());
     router.Stop();
     ASSERT_TRUE((*log)->status().ok()) << (*log)->status().ToString();
