@@ -19,12 +19,6 @@ SupervisedPipeline::SupervisedPipeline(SupervisedKind kind,
                                        const text::Word2Vec* word_vecs)
     : kind_(kind), db_(db), word_vecs_(word_vecs) {}
 
-iuad::Status SupervisedPipeline::Train(
-    const std::vector<std::string>& training_names, int max_pairs_per_name,
-    uint64_t seed) {
-  return TrainOn(db_, training_names, max_pairs_per_name, seed);
-}
-
 iuad::Status SupervisedPipeline::TrainOn(
     const data::PaperDatabase& labeled_db,
     const std::vector<std::string>& training_names, int max_pairs_per_name,

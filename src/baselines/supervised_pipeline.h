@@ -32,13 +32,11 @@ class SupervisedPipeline {
                      const text::Word2Vec* word_vecs);
 
   /// Trains the pair classifier on the ground-truth labels of
-  /// `training_names` (must not overlap the evaluation names).
-  iuad::Status Train(const std::vector<std::string>& training_names,
-                     int max_pairs_per_name = 2000, uint64_t seed = 99);
-
-  /// Trains on labels from a *different* database (e.g. an external labeled
-  /// corpus) — the transfer protocol the published supervised baselines
-  /// live under: annotation never comes from the evaluation data.
+  /// `training_names` in `labeled_db`. That may be a *different* database
+  /// (e.g. an external labeled corpus) — the transfer protocol the
+  /// published supervised baselines live under: annotation never comes from
+  /// the evaluation data. Training names must not overlap the evaluation
+  /// names.
   iuad::Status TrainOn(const data::PaperDatabase& labeled_db,
                        const std::vector<std::string>& training_names,
                        int max_pairs_per_name = 2000, uint64_t seed = 99);

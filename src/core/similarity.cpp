@@ -250,14 +250,6 @@ void SimilarityComputer::PrewarmProfiles(
 
 std::vector<SimilarityVector> SimilarityComputer::ComputeBatch(
     const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
-    int num_threads) const {
-  if (num_threads <= 0) num_threads = config_.num_threads;
-  util::ThreadPool pool(util::ResolveNumThreads(num_threads));
-  return ComputeBatch(pairs, &pool);
-}
-
-std::vector<SimilarityVector> SimilarityComputer::ComputeBatch(
-    const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
     util::ThreadPool* pool) const {
   std::vector<SimilarityVector> gammas(pairs.size());
   if (pairs.empty()) return gammas;

@@ -109,19 +109,13 @@ class SimilarityComputer {
   /// the math does not require it).
   SimilarityVector Compute(graph::VertexId u, graph::VertexId v) const;
 
-  /// γ vectors for every pair, in input order, computed across
-  /// `num_threads` workers (<= 0: config.num_threads, itself 0 = hardware
-  /// concurrency). Equivalent to calling Compute per pair: the lazily-built
-  /// per-vertex profiles, triangle names and WL features are populated in a
-  /// prepass (PrewarmProfiles), after which the parallel region is
-  /// read-only, and results land in slots indexed by pair position —
-  /// identical output at any thread count.
-  std::vector<SimilarityVector> ComputeBatch(
-      const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
-      int num_threads = -1) const;
-
-  /// Same, on a caller-owned pool (lets callers score in bounded-memory
-  /// chunks without respawning workers per chunk).
+  /// γ vectors for every pair, in input order, computed on the caller-owned
+  /// `pool` (so callers can score in bounded-memory chunks without
+  /// respawning workers per chunk). Equivalent to calling Compute per pair:
+  /// the lazily-built per-vertex profiles, triangle names and WL features
+  /// are populated in a prepass (PrewarmProfiles), after which the parallel
+  /// region is read-only, and results land in slots indexed by pair
+  /// position — identical output at any thread count.
   std::vector<SimilarityVector> ComputeBatch(
       const std::vector<std::pair<graph::VertexId, graph::VertexId>>& pairs,
       util::ThreadPool* pool) const;

@@ -1,6 +1,7 @@
 #include "data/paper_database.h"
 
 #include <algorithm>
+#include <charconv>
 #include <numeric>
 
 #include "text/tokenizer.h"
@@ -11,6 +12,19 @@ namespace iuad::data {
 
 namespace {
 const std::vector<int> kNoPapers;
+
+/// Parses the whole of `field` as a base-10 int; InvalidArgument naming
+/// `what` on anything else (empty, trailing junk, out of range).
+iuad::Result<int> ParseIntField(const std::string& field, const char* what) {
+  int v = 0;
+  const char* end = field.data() + field.size();
+  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
+  if (ec != std::errc() || ptr != end) {
+    return iuad::Status::InvalidArgument(std::string("bad ") + what + ": '" +
+                                         field + "'");
+  }
+  return v;
+}
 
 /// FNV-1a accumulator. Strings are hashed with their length so record
 /// boundaries cannot alias ("ab" + "c" vs "a" + "bc").
@@ -163,7 +177,7 @@ iuad::Result<PaperDatabase> PaperDatabase::LoadTsv(const std::string& path) {
           std::to_string(row.size()));
     }
     Paper p;
-    p.year = std::atoi(row[1].c_str());
+    IUAD_ASSIGN_OR_RETURN(p.year, ParseIntField(row[1], "year"));
     p.venue = row[2];
     p.title = row[3];
     for (auto& name : Split(row[4], '|')) {
@@ -171,7 +185,9 @@ iuad::Result<PaperDatabase> PaperDatabase::LoadTsv(const std::string& path) {
     }
     if (row.size() >= 6 && row[5] != "?") {
       for (const auto& gt : Split(row[5], '|')) {
-        p.true_author_ids.push_back(std::atoi(gt.c_str()));
+        IUAD_ASSIGN_OR_RETURN(const int id,
+                              ParseIntField(gt, "ground-truth author id"));
+        p.true_author_ids.push_back(id);
       }
       if (p.true_author_ids.size() != p.author_names.size()) {
         return iuad::Status::InvalidArgument(

@@ -13,15 +13,6 @@ constexpr double kLogZero = -1e9;
 constexpr double kMinTotalWeight = 1e-12;
 }  // namespace
 
-const char* FamilyName(FamilyType type) {
-  switch (type) {
-    case FamilyType::kGaussian: return "Gaussian";
-    case FamilyType::kExponential: return "Exponential";
-    case FamilyType::kMultinomial: return "Multinomial";
-  }
-  return "Unknown";
-}
-
 // --- Gaussian --------------------------------------------------------------
 
 iuad::Status GaussianDist::FitWeighted(const std::vector<double>& xs,

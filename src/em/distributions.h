@@ -19,8 +19,6 @@ namespace iuad::em {
 
 enum class FamilyType { kGaussian, kExponential, kMultinomial };
 
-const char* FamilyName(FamilyType type);
-
 /// Interface of a fittable univariate marginal.
 class Distribution {
  public:

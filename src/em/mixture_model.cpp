@@ -195,16 +195,6 @@ double MixtureModel::LikelihoodRatioMasked(const std::vector<double>& gamma,
   return MatchScoreMasked(gamma, mask) - prior_term;
 }
 
-double MixtureModel::PosteriorMatched(const std::vector<double>& gamma) const {
-  const double s = MatchScore(gamma);
-  // posterior = sigmoid(score); stable at both tails.
-  if (s > 0) {
-    return 1.0 / (1.0 + std::exp(-s));
-  }
-  const double e = std::exp(s);
-  return e / (1.0 + e);
-}
-
 std::string MixtureModel::ToString() const {
   std::string s = "MixtureModel(p_match=" + FormatDouble(prior_matched_, 4) +
                   ", ll=" + FormatDouble(final_log_likelihood_, 2) +

@@ -87,9 +87,6 @@ class MixtureModel {
   double LikelihoodRatioMasked(const std::vector<double>& gamma,
                                const std::vector<bool>& mask) const;
 
-  /// P(r ∈ M | γ, Θ).
-  double PosteriorMatched(const std::vector<double>& gamma) const;
-
   double prior_matched() const { return prior_matched_; }
   double final_log_likelihood() const { return final_log_likelihood_; }
   int iterations_run() const { return iterations_run_; }

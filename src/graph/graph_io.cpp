@@ -1,7 +1,5 @@
 #include "graph/graph_io.h"
 
-#include <charconv>
-#include <cstdlib>
 #include <unordered_map>
 
 #include "util/strings.h"
@@ -16,22 +14,6 @@ std::string JoinPapers(const std::vector<int>& papers) {
   parts.reserve(papers.size());
   for (int p : papers) parts.push_back(std::to_string(p));
   return Join(parts, "|");
-}
-
-iuad::Result<std::vector<int>> ParsePapers(const std::string& field) {
-  std::vector<int> out;
-  if (field.empty()) return out;
-  for (std::string_view part : SplitView(field, '|')) {
-    int v = 0;
-    const auto [end, ec] =
-        std::from_chars(part.data(), part.data() + part.size(), v);
-    if (ec != std::errc() || end != part.data() + part.size()) {
-      return iuad::Status::InvalidArgument("bad paper id: " +
-                                           std::string(part));
-    }
-    out.push_back(v);
-  }
-  return out;
 }
 
 }  // namespace
@@ -54,37 +36,6 @@ iuad::Status SaveGraphTsv(const CollabGraph& graph, const std::string& path) {
     }
   }
   return WriteTsvFile(path, rows);
-}
-
-iuad::Result<CollabGraph> LoadGraphTsv(const std::string& path) {
-  auto rows = ReadTsvFile(path);
-  if (!rows.ok()) return rows.status();
-  CollabGraph graph;
-  for (const auto& row : *rows) {
-    if (row.size() != 4) {
-      return iuad::Status::InvalidArgument("graph TSV row needs 4 fields");
-    }
-    if (row[0] == "V") {
-      IUAD_ASSIGN_OR_RETURN(std::vector<int> papers, ParsePapers(row[3]));
-      const VertexId v = graph.AddVertex(row[2], std::move(papers));
-      if (v != std::atoi(row[1].c_str())) {
-        return iuad::Status::InvalidArgument(
-            "vertex ids must be dense and in order (got " + row[1] + ")");
-      }
-    } else if (row[0] == "E") {
-      const VertexId u = std::atoi(row[1].c_str());
-      const VertexId v = std::atoi(row[2].c_str());
-      if (u < 0 || v < 0 || u >= graph.num_vertices() ||
-          v >= graph.num_vertices()) {
-        return iuad::Status::InvalidArgument("edge references unknown vertex");
-      }
-      IUAD_ASSIGN_OR_RETURN(std::vector<int> papers, ParsePapers(row[3]));
-      IUAD_RETURN_NOT_OK(graph.AddEdgePapers(u, v, papers));
-    } else {
-      return iuad::Status::InvalidArgument("unknown row type: " + row[0]);
-    }
-  }
-  return graph;
 }
 
 }  // namespace iuad::graph

@@ -2,11 +2,10 @@
 #define IUAD_GRAPH_GRAPH_IO_H_
 
 /// \file graph_io.h
-/// TSV persistence for reconstructed collaboration networks, so a library
-/// can build the GCN once and serve it later (the incremental path then
-/// resumes from disk). Only alive vertices are exported; ids are re-densified
-/// on save, so a loaded graph's ids are NOT the original ids — callers that
-/// need stable identity should key on (name, paper set).
+/// TSV export of a reconstructed collaboration network (`iuad run --graph`).
+/// Only alive vertices are exported; ids are re-densified on save, so the
+/// file's ids are NOT the graph's ids — readers that need stable identity
+/// should key on (name, paper set).
 ///
 /// Format (one row per element, tab-separated):
 ///   V <TAB> id <TAB> name <TAB> p1|p2|...
@@ -21,9 +20,6 @@ namespace iuad::graph {
 
 /// Writes the alive subgraph of `graph` to `path`.
 iuad::Status SaveGraphTsv(const CollabGraph& graph, const std::string& path);
-
-/// Loads a graph previously written by SaveGraphTsv.
-iuad::Result<CollabGraph> LoadGraphTsv(const std::string& path);
 
 }  // namespace iuad::graph
 

@@ -4,28 +4,6 @@
 
 namespace iuad::graph {
 
-std::vector<Triangle> EnumerateTriangles(const CollabGraph& graph) {
-  std::vector<Triangle> out;
-  // For u < v < w ordering: for each edge (u, v) with u < v, intersect
-  // higher neighbors.
-  for (VertexId u = 0; u < graph.num_vertices(); ++u) {
-    if (!graph.alive(u)) continue;
-    for (const auto& [v, papers_uv] : graph.NeighborsOf(u)) {
-      if (v <= u) continue;
-      // Intersect neighbors of u and v greater than v.
-      const auto& nu = graph.NeighborsOf(u);
-      const auto& nv = graph.NeighborsOf(v);
-      const auto& smaller = nu.size() <= nv.size() ? nu : nv;
-      const auto& larger = nu.size() <= nv.size() ? nv : nu;
-      for (const auto& [w, papers] : smaller) {
-        if (w <= v) continue;
-        if (larger.count(w)) out.push_back({u, v, w});
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<std::array<VertexId, 2>> TrianglesOf(const CollabGraph& graph,
                                                  VertexId v) {
   std::vector<std::array<VertexId, 2>> out;
@@ -40,14 +18,6 @@ std::vector<std::array<VertexId, 2>> TrianglesOf(const CollabGraph& graph,
   }
   std::sort(out.begin(), out.end());
   return out;
-}
-
-std::vector<int64_t> TriangleCounts(const CollabGraph& graph) {
-  std::vector<int64_t> counts(static_cast<size_t>(graph.num_vertices()), 0);
-  for (const auto& t : EnumerateTriangles(graph)) {
-    for (VertexId v : t) ++counts[static_cast<size_t>(v)];
-  }
-  return counts;
 }
 
 }  // namespace iuad::graph

@@ -2,10 +2,11 @@
 #define IUAD_GRAPH_TRIANGLES_H_
 
 /// \file triangles.h
-/// Triangle enumeration. Triangles are the "stable collaborative cliques"
-/// of Sec. IV-B (a triangle of η-SCRs is itself non-random in a scale-free
-/// network), and the co-author clique coincidence ratio γ2 (Eq. 5) counts
-/// common triangles — the paper restricts L(·) to triangles for speed.
+/// Triangles incident to a vertex. Triangles are the "stable collaborative
+/// cliques" of Sec. IV-B (a triangle of η-SCRs is itself non-random in a
+/// scale-free network), and the co-author clique coincidence ratio γ2
+/// (Eq. 5) counts common triangles — the paper restricts L(·) to triangles
+/// for speed.
 
 #include <array>
 #include <vector>
@@ -14,20 +15,10 @@
 
 namespace iuad::graph {
 
-/// A triangle as a sorted vertex triple.
-using Triangle = std::array<VertexId, 3>;
-
-/// Lists all triangles of the alive subgraph, each exactly once.
-/// Runs in O(sum_e min-degree-endpoint) via neighbor intersection.
-std::vector<Triangle> EnumerateTriangles(const CollabGraph& graph);
-
 /// Triangles incident to vertex `v`: each entry is the sorted pair of the
 /// two other vertices. This is L(v) of Eq. 5.
 std::vector<std::array<VertexId, 2>> TrianglesOf(const CollabGraph& graph,
                                                  VertexId v);
-
-/// Number of triangles each alive vertex participates in (dead: 0).
-std::vector<int64_t> TriangleCounts(const CollabGraph& graph);
 
 }  // namespace iuad::graph
 

@@ -47,12 +47,6 @@ void Histogram::RecordUs(double micros) {
   }
 }
 
-int64_t Histogram::Count() const {
-  int64_t total = 0;
-  for (const auto& b : buckets_) total += b.load(std::memory_order_relaxed);
-  return total;
-}
-
 HistogramSnapshot Histogram::Snapshot(std::string name) const {
   HistogramSnapshot snap;
   snap.name = std::move(name);

@@ -122,7 +122,6 @@ class Histogram {
     RecordUs(static_cast<double>(ns) / 1000.0);
   }
 
-  int64_t Count() const;
   HistogramSnapshot Snapshot(std::string name = "") const;
 
  private:

@@ -179,7 +179,8 @@ int FlightRecorder::ClaimSlot() {
   if (slot >= kMaxThreads) return -1;
   Ring& ring = rings_[slot];
   ring.capacity = default_capacity_;
-  auto* words = new std::atomic<uint64_t>[static_cast<size_t>(ring.capacity) * 4]();
+  auto* words = new std::atomic<uint64_t>[static_cast<size_t>(ring.capacity) *
+                                          kSlotWords]();
   ring.words.store(words, std::memory_order_release);
   return slot;
 }
@@ -216,17 +217,21 @@ void FlightRecorder::RecordAt(int64_t stamp_ns, TraceEventId id, uint64_t a0,
   std::atomic<uint64_t>* words = ring.words.load(std::memory_order_relaxed);
   const uint64_t head = ring.head.load(std::memory_order_relaxed);
   std::atomic<uint64_t>* w =
-      words + (head % static_cast<uint64_t>(ring.capacity)) * 4;
-  w[0].store(static_cast<uint64_t>(stamp_ns), std::memory_order_relaxed);
-  w[1].store(static_cast<uint64_t>(slot) << 16 | static_cast<uint64_t>(id),
+      words + (head % static_cast<uint64_t>(ring.capacity)) * kSlotWords;
+  // Seqlock write: odd sequence while the event words change, then the
+  // even sequence that names this index as finished. The release fence
+  // orders the odd store before the event stores, so a reader that sees
+  // any new event word also sees the odd (or a later) sequence on its
+  // second read.
+  w[0].store(2 * head + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
+  w[1].store(static_cast<uint64_t>(stamp_ns), std::memory_order_relaxed);
+  w[2].store(static_cast<uint64_t>(slot) << 16 | static_cast<uint64_t>(id),
              std::memory_order_relaxed);
-  w[2].store(a0, std::memory_order_relaxed);
-  w[3].store(a1, std::memory_order_relaxed);
+  w[3].store(a0, std::memory_order_relaxed);
+  w[4].store(a1, std::memory_order_relaxed);
+  w[0].store(2 * head + 2, std::memory_order_release);
   ring.head.store(head + 1, std::memory_order_release);
-}
-
-void FlightRecorder::Record(TraceEventId id, uint64_t a0, uint64_t a1) {
-  RecordAt(NowNs(), id, a0, a1);
 }
 
 std::vector<TraceEvent> FlightRecorder::Drain() const {
@@ -238,32 +243,24 @@ std::vector<TraceEvent> FlightRecorder::Drain() const {
     const uint64_t cap = static_cast<uint64_t>(ring.capacity);
     const uint64_t head = ring.head.load(std::memory_order_acquire);
     const uint64_t count = head < cap ? head : cap;
-    const uint64_t first = head - count;
-    std::vector<TraceEvent> events;
-    std::vector<uint64_t> indices;
-    events.reserve(count);
-    indices.reserve(count);
-    for (uint64_t i = first; i < head; ++i) {
-      const std::atomic<uint64_t>* w = words + (i % cap) * 4;
+    for (uint64_t i = head - count; i < head; ++i) {
+      // Seqlock read: keep index i only if its slot holds i's finished
+      // write both before and after the copy. A slot the writer is
+      // rewriting reads odd, one it has already rewritten reads a later
+      // lap's sequence, and either way the copy is dropped.
+      const std::atomic<uint64_t>* w = words + (i % cap) * kSlotWords;
+      const uint64_t seq = 2 * i + 2;
+      if (w[0].load(std::memory_order_acquire) != seq) continue;
       TraceEvent ev;
-      ev.ns = static_cast<int64_t>(w[0].load(std::memory_order_relaxed));
-      const uint64_t packed = w[1].load(std::memory_order_relaxed);
+      ev.ns = static_cast<int64_t>(w[1].load(std::memory_order_relaxed));
+      const uint64_t packed = w[2].load(std::memory_order_relaxed);
       ev.tid = static_cast<uint16_t>(packed >> 16);
       ev.id = static_cast<uint16_t>(packed & 0xffff);
-      ev.a0 = w[2].load(std::memory_order_relaxed);
-      ev.a1 = w[3].load(std::memory_order_relaxed);
-      events.push_back(ev);
-      indices.push_back(i);
-    }
-    // Torn-read guard: anything the writer may have overwritten while
-    // we copied (index < head' - cap) is dropped, as is the slot the
-    // writer may be mid-store on.
-    const uint64_t head_after = ring.head.load(std::memory_order_acquire);
-    const uint64_t min_valid = head_after > cap ? head_after - cap : 0;
-    for (size_t i = 0; i < events.size(); ++i) {
-      if (indices[i] >= min_valid && events[i].id != 0) {
-        out.push_back(events[i]);
-      }
+      ev.a0 = w[3].load(std::memory_order_relaxed);
+      ev.a1 = w[4].load(std::memory_order_relaxed);
+      std::atomic_thread_fence(std::memory_order_acquire);
+      if (w[0].load(std::memory_order_relaxed) != seq) continue;
+      if (ev.id != 0) out.push_back(ev);
     }
   }
   std::stable_sort(out.begin(), out.end(),
@@ -290,14 +287,16 @@ void FlightRecorder::CrashDump(int fd) const {
     const uint64_t head = ring.head.load(std::memory_order_relaxed);
     const uint64_t count = head < cap ? head : cap;
     for (uint64_t i = head - count; i < head; ++i) {
-      const std::atomic<uint64_t>* w = words + (i % cap) * 4;
-      const uint64_t packed = w[1].load(std::memory_order_relaxed);
+      const std::atomic<uint64_t>* w = words + (i % cap) * kSlotWords;
+      // Odd sequence: the writer was mid-store when the signal hit.
+      if (w[0].load(std::memory_order_relaxed) & 1) continue;
+      const uint64_t packed = w[2].load(std::memory_order_relaxed);
       const auto id = static_cast<TraceEventId>(packed & 0xffff);
       if (static_cast<uint16_t>(id) == 0) continue;
       char buf[192];
       size_t pos = AppendLiteral(buf, 0, sizeof(buf), "event ns=");
       pos = AppendI64(buf, pos, sizeof(buf),
-                      static_cast<int64_t>(w[0].load(std::memory_order_relaxed)));
+                      static_cast<int64_t>(w[1].load(std::memory_order_relaxed)));
       pos = AppendLiteral(buf, pos, sizeof(buf), " tid=");
       pos = AppendU64(buf, pos, sizeof(buf), packed >> 16);
       pos = AppendLiteral(buf, pos, sizeof(buf), " id=");
@@ -306,10 +305,10 @@ void FlightRecorder::CrashDump(int fd) const {
       pos = AppendLiteral(buf, pos, sizeof(buf), TraceEventName(id));
       pos = AppendLiteral(buf, pos, sizeof(buf), " a0=");
       pos = AppendU64(buf, pos, sizeof(buf),
-                      w[2].load(std::memory_order_relaxed));
+                      w[3].load(std::memory_order_relaxed));
       pos = AppendLiteral(buf, pos, sizeof(buf), " a1=");
       pos = AppendU64(buf, pos, sizeof(buf),
-                      w[3].load(std::memory_order_relaxed));
+                      w[4].load(std::memory_order_relaxed));
       pos = AppendLiteral(buf, pos, sizeof(buf), "\n");
       WriteAll(fd, buf, pos);
     }

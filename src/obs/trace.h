@@ -7,13 +7,15 @@
 /// slow-commit exemplar table, and an async-signal-safe crash dump.
 ///
 /// Flight recorder. Per-thread SPSC ring buffers of fixed-size events
-/// (monotonic ns, thread tag, event id, two u64 args). Recording is a
-/// thread-local slot lookup plus four relaxed stores and one release
-/// index bump — no locks, no allocation, no syscalls — and the ring
-/// overwrites oldest when full, so the recorder is always-on and
-/// bounded. Draining is non-destructive: readers snapshot each ring's
-/// tail under acquire loads and discard any event the writer may have
-/// overwritten mid-copy, so a torn read is dropped, never surfaced.
+/// (monotonic ns, thread tag, event id, two u64 args), each slot guarded
+/// by its own sequence word, seqlock style. Recording is a thread-local
+/// slot lookup plus plain stores, two release orderings and one release
+/// index bump — no locks, no read-modify-write, no allocation, no
+/// syscalls — and the ring overwrites oldest when full, so the recorder
+/// is always-on and bounded. Draining is non-destructive: a reader keeps
+/// an event only if its slot's sequence names that event's index as
+/// finished both before and after the copy, so a torn read is dropped,
+/// never surfaced.
 ///
 /// Determinism (DESIGN.md §7/§8). Nothing here is ever read on a
 /// decision path; `trace_enabled` gates only the clock reads and ring
@@ -72,7 +74,8 @@ const char* TraceEventName(TraceEventId id);
 /// instants (Chrome "i").
 bool TraceEventIsSpan(TraceEventId id);
 
-/// One recorded event: 4 machine words in the ring.
+/// One recorded event: 4 machine words in the ring (plus the slot's
+/// sequence word).
 struct TraceEvent {
   int64_t ns = 0;    ///< obs::NowNs() stamp (span events: stage END).
   uint16_t tid = 0;  ///< Recorder thread slot (dense small ints).
@@ -109,35 +112,42 @@ class FlightRecorder {
   static void SetDefaultRingCapacity(int capacity);
 
   /// Record one event on the calling thread's ring: thread-local slot
-  /// lookup + four relaxed stores + one release index bump. Overwrites
-  /// oldest when the ring is full. `stamp_ns` lets call sites reuse a
-  /// clock read they already took for metrics.
+  /// lookup, the slot's sequence made odd (2 * index + 1), a release
+  /// fence, four relaxed stores, the sequence made even (2 * index + 2)
+  /// by a release store, and one release index bump. Overwrites oldest
+  /// when the ring is full. `stamp_ns` lets call sites reuse a clock read
+  /// they already took for metrics.
   void RecordAt(int64_t stamp_ns, TraceEventId id, uint64_t a0 = 0,
                 uint64_t a1 = 0);
 
-  /// RecordAt with a fresh NowNs() stamp.
-  void Record(TraceEventId id, uint64_t a0 = 0, uint64_t a1 = 0);
-
   /// Non-destructive snapshot of every ring, merged and sorted by ns.
-  /// Events the writers overwrite during the copy are discarded (torn
-  /// reads never surface); recording continues concurrently.
+  /// Index i is kept only if its slot's sequence reads 2 * i + 2 before
+  /// and after the copy, so events a writer is rewriting or has already
+  /// overwritten are discarded (torn reads never surface); recording
+  /// continues concurrently.
   std::vector<TraceEvent> Drain() const;
 
   /// Events rejected because all kMaxThreads slots were claimed.
   int64_t dropped() const { return dropped_.load(std::memory_order_relaxed); }
 
   /// Async-signal-safe dump of every ring to `fd` as text lines, using
-  /// only write(2) and stack buffers. Called from the crash handler.
+  /// only write(2) and stack buffers. Skips slots whose sequence is odd
+  /// (mid-store). Called from the crash handler.
   void CrashDump(int fd) const;
 
  private:
+  friend class FlightRecorderTestPeer;
+
+  /// Words per ring slot: the sequence word, then ns, tid|id, a0, a1.
+  static constexpr int kSlotWords = 5;
+
   struct Ring {
     /// Next write index (monotonic; slot = head % capacity). Release-
     /// bumped after the event words are stored.
     std::atomic<uint64_t> head{0};
-    /// capacity * 4 atomic words, release-published on claim so readers
-    /// acquire-loading the pointer see constructed atomics. Null until
-    /// a thread claims the slot.
+    /// capacity * kSlotWords atomic words, release-published on claim so
+    /// readers acquire-loading the pointer see constructed atomics. Null
+    /// until a thread claims the slot.
     std::atomic<std::atomic<uint64_t>*> words{nullptr};
     int capacity = 0;
   };

@@ -20,17 +20,4 @@ int Vocabulary::Lookup(const std::string& word) const {
   return it == index_.end() ? kUnknown : it->second;
 }
 
-int64_t Vocabulary::CountOf(const std::string& word) const {
-  int id = Lookup(word);
-  return id == kUnknown ? 0 : CountOf(id);
-}
-
-std::vector<int> Vocabulary::IdsWithMinCount(int64_t min_count) const {
-  std::vector<int> ids;
-  for (int i = 0; i < size(); ++i) {
-    if (counts_[static_cast<size_t>(i)] >= min_count) ids.push_back(i);
-  }
-  return ids;
-}
-
 }  // namespace iuad::text

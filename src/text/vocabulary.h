@@ -34,17 +34,11 @@ class Vocabulary {
   /// Total occurrences recorded for `id`.
   int64_t CountOf(int id) const { return counts_[static_cast<size_t>(id)]; }
 
-  /// Occurrences of `word`, 0 if absent.
-  int64_t CountOf(const std::string& word) const;
-
   /// Number of distinct words.
   int size() const { return static_cast<int>(words_.size()); }
 
   /// Sum of all counts.
   int64_t total_count() const { return total_; }
-
-  /// Ids whose count is at least `min_count`.
-  std::vector<int> IdsWithMinCount(int64_t min_count) const;
 
  private:
   std::unordered_map<std::string, int> index_;

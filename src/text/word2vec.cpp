@@ -361,27 +361,4 @@ Vec Word2Vec::MeanOf(const std::vector<std::string>& words) const {
   return MeanVector(vs, static_cast<size_t>(config_.dim));
 }
 
-double Word2Vec::Similarity(const std::string& a, const std::string& b) const {
-  const Vec* va = VectorOf(a);
-  const Vec* vb = VectorOf(b);
-  if (!va || !vb) return 0.0;
-  return Cosine(*va, *vb);
-}
-
-std::vector<std::pair<std::string, double>> Word2Vec::MostSimilar(
-    const std::string& word, int k) const {
-  std::vector<std::pair<std::string, double>> out;
-  const Vec* v = VectorOf(word);
-  if (!v) return out;
-  for (int id = 0; id < vocab_.size(); ++id) {
-    const std::string& w = vocab_.WordOf(id);
-    if (w == word) continue;
-    out.emplace_back(w, Cosine(*v, in_vectors_[static_cast<size_t>(id)]));
-  }
-  std::sort(out.begin(), out.end(),
-            [](const auto& a, const auto& b) { return a.second > b.second; });
-  if (static_cast<int>(out.size()) > k) out.resize(static_cast<size_t>(k));
-  return out;
-}
-
 }  // namespace iuad::text

@@ -68,9 +68,9 @@ class Word2Vec {
 
   /// Reinstates a trained embedding table from snapshot parts (src/io):
   /// the vocabulary and one input vector per vocabulary id, in id order.
-  /// Restores the full inference surface — VectorOf / MeanOf / Similarity /
-  /// MostSimilar and the vocabulary-frequency reads the similarity
-  /// functions make — byte-identically. Training-side state (context
+  /// Restores the full inference surface — VectorOf / MeanOf and the
+  /// vocabulary-frequency reads the similarity functions make —
+  /// byte-identically. Training-side state (context
   /// vectors, negative table) is NOT restored: calling Train again on a
   /// restored object retrains from scratch exactly as on a fresh one.
   static iuad::Result<Word2Vec> Restore(Word2VecConfig config,
@@ -85,13 +85,6 @@ class Word2Vec {
   /// Mean vector of the in-vocabulary subset of `words`; zero vector if none
   /// are known. This is W(v) of Eq. 6.
   Vec MeanOf(const std::vector<std::string>& words) const;
-
-  /// Cosine similarity between two words; 0 when either is OOV.
-  double Similarity(const std::string& a, const std::string& b) const;
-
-  /// The `k` nearest in-vocabulary neighbours of `word` by cosine.
-  std::vector<std::pair<std::string, double>> MostSimilar(
-      const std::string& word, int k) const;
 
   int dim() const { return config_.dim; }
   const Vocabulary& vocabulary() const { return vocab_; }

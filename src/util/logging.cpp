@@ -12,11 +12,8 @@
 namespace iuad {
 
 namespace {
-std::atomic<int> g_min_level{static_cast<int>(LogLevel::kInfo)};
-
 const char* LevelTag(LogLevel level) {
   switch (level) {
-    case LogLevel::kDebug: return "D";
     case LogLevel::kInfo: return "I";
     case LogLevel::kWarning: return "W";
     case LogLevel::kError: return "E";
@@ -67,18 +64,9 @@ void WriteLineToStderr(const std::string& line) {
 }
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  g_min_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-LogLevel GetLogLevel() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 namespace internal {
 
-LogMessage::LogMessage(LogLevel level, const char* file, int line)
-    : level_(level) {
+LogMessage::LogMessage(LogLevel level, const char* file, int line) {
   char prefix[96];
   std::snprintf(prefix, sizeof(prefix), "[%s %.3f t%d %s:%d] ",
                 LevelTag(level), MonotonicSeconds(), ThreadTag(),
@@ -87,7 +75,7 @@ LogMessage::LogMessage(LogLevel level, const char* file, int line)
 }
 
 LogMessage::~LogMessage() {
-  if (level_ >= GetLogLevel()) WriteLineToStderr(stream_.str());
+  WriteLineToStderr(stream_.str());
 }
 
 CheckFailure::CheckFailure(const char* cond, const char* file, int line) {

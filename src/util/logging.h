@@ -2,8 +2,8 @@
 #define IUAD_UTIL_LOGGING_H_
 
 /// \file logging.h
-/// Minimal leveled logger. Benches and examples use INFO; library internals
-/// log at DEBUG and stay silent by default.
+/// Minimal leveled logger. Every IUAD_LOG line is emitted; the level only
+/// tags it (there is no runtime threshold).
 ///
 /// Each line carries `[<level> <monotonic seconds> t<thread> file:line]`
 /// and is emitted with one write(2) call, so lines from concurrent
@@ -16,11 +16,7 @@
 
 namespace iuad {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
-
-/// Sets the global minimum level that is emitted (default: kInfo).
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+enum class LogLevel { kInfo, kWarning, kError };
 
 namespace internal {
 
@@ -32,25 +28,14 @@ class LogMessage {
   std::ostringstream& stream() { return stream_; }
 
  private:
-  LogLevel level_;
   std::ostringstream stream_;
-};
-
-/// Discards the streamed expression when the level is below threshold.
-class NullStream {
- public:
-  template <typename T>
-  NullStream& operator<<(const T&) { return *this; }
 };
 
 }  // namespace internal
 
-#define IUAD_LOG(level)                                                  \
-  if (::iuad::LogLevel::level < ::iuad::GetLogLevel()) {                 \
-  } else                                                                 \
-    ::iuad::internal::LogMessage(::iuad::LogLevel::level, __FILE__,      \
-                                 __LINE__)                               \
-        .stream()
+#define IUAD_LOG(level)                                                   \
+  ::iuad::internal::LogMessage(::iuad::LogLevel::level, __FILE__, __LINE__) \
+      .stream()
 
 /// Fatal-on-false invariant check (active in all build types).
 #define IUAD_CHECK(cond)                                                  \

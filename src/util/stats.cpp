@@ -1,6 +1,5 @@
 #include "util/stats.h"
 
-#include <algorithm>
 #include <cmath>
 
 namespace iuad {
@@ -18,27 +17,6 @@ double Variance(const std::vector<double>& xs) {
   double s = 0.0;
   for (double x : xs) s += (x - m) * (x - m);
   return s / static_cast<double>(xs.size());
-}
-
-double NormalCdf(double x) {
-  return 0.5 * std::erfc(-x / std::sqrt(2.0));
-}
-
-double CoOccurrenceTailProbability(double na, double nb, double total_papers,
-                                   int x) {
-  // Under independence: per-paper co-occurrence probability p = na*nb/N^2,
-  // X ~ Binom(N, p), E[X] = N*p, Var[X] = N*p*(1-p). Eq. (1) applies the
-  // continuity correction (x - 0.5) before standardizing.
-  const double n = total_papers;
-  if (n <= 0.0) return 0.0;
-  double p = (na / n) * (nb / n);
-  p = std::clamp(p, 0.0, 1.0);
-  const double mean = n * p;
-  const double var = n * p * (1.0 - p);
-  if (var <= 0.0) return mean >= x ? 1.0 : 0.0;
-  const double z = ((static_cast<double>(x) - 0.5) - mean) / std::sqrt(var);
-  const double tail = 1.0 - NormalCdf(z);
-  return std::clamp(tail, 0.0, 1.0);
 }
 
 PowerLawFit FitPowerLaw(const std::vector<double>& x,
@@ -84,20 +62,6 @@ PowerLawFit FitPowerLaw(const std::map<int64_t, int64_t>& histogram) {
     y.push_back(static_cast<double>(freq));
   }
   return FitPowerLaw(x, y);
-}
-
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y) {
-  if (x.size() != y.size() || x.size() < 2) return 0.0;
-  const double mx = Mean(x), my = Mean(y);
-  double sxy = 0.0, sxx = 0.0, syy = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    sxy += (x[i] - mx) * (y[i] - my);
-    sxx += (x[i] - mx) * (x[i] - mx);
-    syy += (y[i] - my) * (y[i] - my);
-  }
-  if (sxx <= 0.0 || syy <= 0.0) return 0.0;
-  return sxy / std::sqrt(sxx * syy);
 }
 
 }  // namespace iuad

@@ -2,9 +2,7 @@
 #define IUAD_UTIL_STATS_H_
 
 /// \file stats.h
-/// Statistics helpers backing the paper's descriptive analysis (Fig. 3) and
-/// the key observation of Sec. IV-A (binomial tail probability of random
-/// name co-occurrence).
+/// Statistics helpers backing the paper's descriptive analysis (Fig. 3).
 
 #include <cstdint>
 #include <map>
@@ -18,16 +16,6 @@ double Mean(const std::vector<double>& xs);
 /// Population variance (MLE denominator N, matching the EM updates of
 /// Table I); 0 for inputs with fewer than one element.
 double Variance(const std::vector<double>& xs);
-
-/// Standard normal CDF Φ(x).
-double NormalCdf(double x);
-
-/// Pr(X >= x) for X ~ Binom(N, na*nb/N^2) under the independence assumption
-/// of Sec. IV-A, using the paper's continuity-corrected normal approximation
-/// (Eq. 1). `na`, `nb` are the paper counts of the two names, `total_papers`
-/// is N. Returns a probability clamped to [0, 1].
-double CoOccurrenceTailProbability(double na, double nb, double total_papers,
-                                   int x);
 
 /// Least-squares slope/intercept of log10(y) against log10(x) over the
 /// points with x > 0 and y > 0; used to report the power-law exponents of
@@ -49,10 +37,6 @@ std::map<int64_t, int64_t> FrequencyHistogram(const std::vector<int64_t>& counts
 
 /// Convenience: fits a power law directly to a frequency histogram.
 PowerLawFit FitPowerLaw(const std::map<int64_t, int64_t>& histogram);
-
-/// Pearson correlation of two equal-length vectors; 0 if degenerate.
-double PearsonCorrelation(const std::vector<double>& x,
-                          const std::vector<double>& y);
 
 }  // namespace iuad
 

@@ -14,37 +14,11 @@ namespace iuad {
 /// Splits `s` on `sep`, keeping empty fields (TSV semantics).
 std::vector<std::string> Split(std::string_view s, char sep);
 
-/// Splits `s` on any run of whitespace, dropping empty tokens.
-std::vector<std::string> SplitWhitespace(std::string_view s);
-
-/// Zero-copy variant of Split: the returned views alias `s`, which must
-/// outlive them. Same semantics (empty fields kept). Used on hot parse
-/// paths (TSV rows, paper-id lists) to avoid one allocation per field.
-std::vector<std::string_view> SplitView(std::string_view s, char sep);
-
-/// Zero-copy variant of SplitWhitespace (empty tokens dropped); the views
-/// alias `s`, which must outlive them.
-std::vector<std::string_view> SplitWhitespaceView(std::string_view s);
-
 /// Joins `parts` with `sep`.
 std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 
-/// Removes leading/trailing ASCII whitespace.
-std::string_view Trim(std::string_view s);
-
-/// ASCII lower-casing (bibliographic names/titles in this library are ASCII
-/// by construction; a full Unicode pipeline is out of scope and documented
-/// as such in DESIGN.md).
-std::string ToLower(std::string_view s);
-
-/// True if `s` starts with `prefix`.
-bool StartsWith(std::string_view s, std::string_view prefix);
-
 /// Formats a double with `digits` digits after the decimal point.
 std::string FormatDouble(double v, int digits);
-
-/// Left-pads `s` with spaces to width `w` (no-op if already wider).
-std::string PadLeft(std::string_view s, size_t w);
 
 /// Right-pads `s` with spaces to width `w`.
 std::string PadRight(std::string_view s, size_t w);

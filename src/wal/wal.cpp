@@ -280,7 +280,6 @@ iuad::Status Log::ScanSegments() {
   if (!stale.empty()) {
     for (const auto& name : stale) {
       ::unlink((dir_ + "/" + name).c_str());
-      IUAD_LOG(kDebug) << "wal: removed stale file " << name;
     }
     IUAD_RETURN_NOT_OK(io::FsyncDir(dir_));
   }
@@ -675,7 +674,6 @@ iuad::Status Log::Checkpoint(const data::PaperDatabase& db,
   if (last_checkpoint_ts_gauge_ != nullptr) {
     last_checkpoint_ts_gauge_->Set(static_cast<int64_t>(checkpoint_unix_s_));
   }
-  IUAD_LOG(kDebug) << "wal: checkpoint committed at seq " << seq;
   return iuad::Status::OK();
 }
 

@@ -174,7 +174,8 @@ TEST_P(SupervisedPipelineTest, LearnsOnSyntheticAndClusters) {
     (i % 2 == 0 ? train : test).push_back(names[i]);
   }
   SupervisedPipeline pipeline(GetParam(), corpus.db, nullptr);
-  ASSERT_TRUE(pipeline.Train(train, /*max_pairs_per_name=*/300).ok());
+  ASSERT_TRUE(
+      pipeline.TrainOn(corpus.db, train, /*max_pairs_per_name=*/300).ok());
   EXPECT_TRUE(pipeline.trained());
 
   eval::PairCounts total;
@@ -205,7 +206,7 @@ TEST(SupervisedPipelineTest2, TrainRejectsUnlabeledNames) {
   db.AddPaper(iuad::testing::MakePaper({"x"}, "a b"));
   db.AddPaper(iuad::testing::MakePaper({"x"}, "c d"));
   SupervisedPipeline pipeline(SupervisedKind::kGbdt, db, nullptr);
-  EXPECT_FALSE(pipeline.Train({"x"}).ok());
+  EXPECT_FALSE(pipeline.TrainOn(db, {"x"}).ok());
 }
 
 TEST(SupervisedKindNameTest, AllNamed) {

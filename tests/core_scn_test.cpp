@@ -5,7 +5,7 @@
 
 #include "core/occurrence_index.h"
 #include "core/scn_builder.h"
-#include "graph/components.h"
+#include "graph/union_find.h"
 #include "testing_utils.h"
 
 namespace iuad::core {
@@ -116,10 +116,12 @@ TEST_F(Fig2ScnTest, SingletonCountMatchesFigure) {
 }
 
 TEST_F(Fig2ScnTest, ComponentsMatchFigure) {
-  int n = 0;
-  graph::ConnectedComponents(graph_, &n);
+  graph::UnionFind uf(graph_.num_vertices());
+  for (const graph::EdgeRecord& e : graph_.Edges()) uf.Union(e.u, e.v);
+  std::set<int> roots;
+  for (VertexId v : graph_.AliveVertices()) roots.insert(uf.Find(v));
   // {a,b,c,d}, {b,e}, and 4 isolated = 6 components.
-  EXPECT_EQ(n, 6);
+  EXPECT_EQ(roots.size(), 6u);
 }
 
 TEST(ScnBuilderTest, RequiresEmptyGraph) {

@@ -137,6 +137,22 @@ TEST(PaperDatabaseTest, LoadRejectsMalformedRows) {
                   bad2, {{"0", "2000", "V", "title", "a|b", "1"}})
                   .ok());  // gt length mismatch
   EXPECT_FALSE(PaperDatabase::LoadTsv(bad2).ok());
+
+  // Malformed numbers must not load as 0; the error names the field.
+  const std::vector<std::pair<TsvRow, std::string>> bad_numbers = {
+      {{"0", "20x0", "V", "title", "a", "1"}, "year"},
+      {{"0", "", "V", "title", "a", "1"}, "year"},
+      {{"0", "2000", "V", "title", "a|b", "1|7a"}, "ground-truth author id"},
+      {{"0", "2000", "V", "title", "a|b", "1|"}, "ground-truth author id"},
+  };
+  for (const auto& [row, field] : bad_numbers) {
+    ASSERT_TRUE(iuad::WriteTsvFile(bad2, {row}).ok());
+    const auto loaded = PaperDatabase::LoadTsv(bad2);
+    ASSERT_FALSE(loaded.ok()) << row[1] << " / " << row[5];
+    EXPECT_EQ(loaded.status().code(), iuad::StatusCode::kInvalidArgument);
+    EXPECT_NE(loaded.status().message().find(field), std::string::npos)
+        << loaded.status().ToString();
+  }
   std::remove(bad2.c_str());
 }
 

@@ -202,7 +202,8 @@ TEST(DeterminismTest, ComputeBatchMatchesSerialCompute) {
 
   core::SimilarityComputer sim(corpus.db, result->graph, result->embeddings,
                                cfg);
-  const auto batched = sim.ComputeBatch(pairs, /*num_threads=*/4);
+  util::ThreadPool pool(4);
+  const auto batched = sim.ComputeBatch(pairs, &pool);
   ASSERT_EQ(batched.size(), pairs.size());
   core::SimilarityComputer fresh(corpus.db, result->graph, result->embeddings,
                                  cfg);

@@ -112,7 +112,6 @@ TEST(DistributionFactoryTest, CreatesAllFamilies) {
     EXPECT_EQ(c->family(), f);
     EXPECT_FALSE(d->ToString().empty());
   }
-  EXPECT_STREQ(FamilyName(FamilyType::kGaussian), "Gaussian");
 }
 
 // --------------------------- MixtureModel -----------------------------------
@@ -177,19 +176,6 @@ TEST(MixtureModelTest, RecoversPlantedComponents) {
   // fully label-swapped, which the quantile init prevents).
   EXPECT_GT(acc, 0.95);
   EXPECT_NEAR(m.prior_matched(), 0.25, 0.05);
-}
-
-TEST(MixtureModelTest, PosteriorMatchesScoreSigmoid) {
-  auto data = MakePlanted(500, 0.3, 32);
-  MixtureModel m(ThreeFeatureConfig());
-  ASSERT_TRUE(m.Fit(data.gammas).ok());
-  for (int i = 0; i < 20; ++i) {
-    const double s = m.MatchScore(data.gammas[static_cast<size_t>(i)]);
-    const double p = m.PosteriorMatched(data.gammas[static_cast<size_t>(i)]);
-    EXPECT_NEAR(p, 1.0 / (1.0 + std::exp(-s)), 1e-9);
-    EXPECT_GE(p, 0.0);
-    EXPECT_LE(p, 1.0);
-  }
 }
 
 TEST(MixtureModelTest, SupervisedInitRespected) {
@@ -293,7 +279,7 @@ TEST_P(MixtureFamilyTest, SeparatesPlantedDataWithAnyFamilyOnFeature0) {
     if ((m.MatchScore(data.gammas[i]) >= 0.0) == data.matched[i]) ++correct;
   }
   EXPECT_GT(static_cast<double>(correct) / data.gammas.size(), 0.9)
-      << FamilyName(family) << " frac=" << match_frac;
+      << "family=" << static_cast<int>(family) << " frac=" << match_frac;
 }
 
 INSTANTIATE_TEST_SUITE_P(

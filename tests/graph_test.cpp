@@ -11,10 +11,10 @@
 #include <vector>
 
 #include "graph/collab_graph.h"
-#include "graph/components.h"
 #include "graph/triangles.h"
 #include "graph/union_find.h"
 #include "graph/wl_kernel.h"
+#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace iuad::graph {
@@ -170,28 +170,12 @@ TEST(CollabGraphTest, AliveVerticesSkipsDead) {
 
 // --------------------------- Triangles --------------------------------------
 
-TEST(TrianglesTest, FindsTheOneTriangle) {
-  CollabGraph g = TriangleGraph();
-  auto tris = EnumerateTriangles(g);
-  ASSERT_EQ(tris.size(), 1u);
-  EXPECT_EQ(tris[0], (Triangle{0, 1, 2}));
-}
-
 TEST(TrianglesTest, TrianglesOfVertex) {
   CollabGraph g = TriangleGraph();
   auto t0 = TrianglesOf(g, 0);
   ASSERT_EQ(t0.size(), 1u);
   EXPECT_EQ(t0[0], (std::array<VertexId, 2>{1, 2}));
   EXPECT_TRUE(TrianglesOf(g, 3).empty());
-}
-
-TEST(TrianglesTest, CountsPerVertex) {
-  CollabGraph g = TriangleGraph();
-  auto counts = TriangleCounts(g);
-  EXPECT_EQ(counts[0], 1);
-  EXPECT_EQ(counts[1], 1);
-  EXPECT_EQ(counts[2], 1);
-  EXPECT_EQ(counts[3], 0);
 }
 
 TEST(TrianglesTest, K4HasFourTriangles) {
@@ -202,49 +186,69 @@ TEST(TrianglesTest, K4HasFourTriangles) {
       ASSERT_TRUE(g.AddEdgePapers(i, j, {i * 4 + j}).ok());
     }
   }
-  EXPECT_EQ(EnumerateTriangles(g).size(), 4u);
   EXPECT_EQ(TrianglesOf(g, 0).size(), 3u);
 }
 
-TEST(TrianglesTest, EmptyAndEdgeOnlyGraphs) {
+/// TrianglesOf (L(v) of Eq. 5, which gamma2 counts) against brute force over
+/// an adjacency matrix the test maintains itself: random graphs, then random
+/// merges that kill vertices and rewire their edges the way GCN
+/// construction does.
+class TrianglesOfPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(TrianglesOfPropertyTest, MatchesBruteForceEnumeration) {
+  const int seed = GetParam();
+  iuad::Rng rng(static_cast<uint64_t>(seed));
+  const int n = 2 + static_cast<int>(rng.NextBounded(13));  // 2..14
+  const uint64_t edge_pct = 20 + rng.NextBounded(60);       // 20..79 %
   CollabGraph g;
-  EXPECT_TRUE(EnumerateTriangles(g).empty());
-  g.AddVertex("a", {});
-  g.AddVertex("b", {});
-  ASSERT_TRUE(g.AddEdgePapers(0, 1, {0}).ok());
-  EXPECT_TRUE(EnumerateTriangles(g).empty());
+  std::vector<std::vector<bool>> adj(static_cast<size_t>(n),
+                                     std::vector<bool>(static_cast<size_t>(n)));
+  std::vector<bool> alive(static_cast<size_t>(n), true);
+  for (int i = 0; i < n; ++i) g.AddVertex("v" + std::to_string(i), {i});
+  int paper = n;
+  for (int u = 0; u < n; ++u) {
+    for (int v = u + 1; v < n; ++v) {
+      if (rng.NextBounded(100) >= edge_pct) continue;
+      ASSERT_TRUE(g.AddEdgePapers(u, v, {paper++}).ok());
+      adj[static_cast<size_t>(u)][static_cast<size_t>(v)] = true;
+      adj[static_cast<size_t>(v)][static_cast<size_t>(u)] = true;
+    }
+  }
+  auto pick = [&rng, n] {
+    return static_cast<int>(rng.NextBounded(static_cast<uint64_t>(n)));
+  };
+  const int merges = pick();
+  for (int m = 0; m < merges; ++m) {
+    const int kept = pick();
+    const int absorbed = pick();
+    const size_t k = static_cast<size_t>(kept);
+    const size_t a = static_cast<size_t>(absorbed);
+    if (kept == absorbed || !alive[k] || !alive[a]) continue;
+    ASSERT_TRUE(g.MergeVertices(kept, absorbed).ok());
+    for (size_t x = 0; x < adj.size(); ++x) {
+      if (adj[a][x] && x != k) adj[k][x] = adj[x][k] = true;
+      adj[a][x] = adj[x][a] = false;
+    }
+    adj[k][k] = false;
+    alive[a] = false;
+  }
+
+  auto edge = [&adj](int x, int y) {
+    return adj[static_cast<size_t>(x)][static_cast<size_t>(y)];
+  };
+  for (int v = 0; v < n; ++v) {
+    std::vector<std::array<VertexId, 2>> want;
+    for (int x = 0; x < n; ++x) {
+      for (int y = x + 1; y < n; ++y) {
+        if (edge(v, x) && edge(v, y) && edge(x, y)) want.push_back({x, y});
+      }
+    }
+    EXPECT_EQ(TrianglesOf(g, v), want) << "seed=" << seed << " v=" << v;
+  }
 }
 
-// --------------------------- Components -------------------------------------
-
-TEST(ComponentsTest, CountsComponents) {
-  CollabGraph g = TriangleGraph();
-  g.AddVertex("iso", {9});
-  int n = 0;
-  auto comp = ConnectedComponents(g, &n);
-  EXPECT_EQ(n, 2);
-  EXPECT_EQ(comp[0], comp[1]);
-  EXPECT_EQ(comp[0], comp[3]);
-  EXPECT_NE(comp[0], comp[4]);
-}
-
-TEST(ComponentsTest, DeadVerticesExcluded) {
-  CollabGraph g;
-  g.AddVertex("a", {});
-  g.AddVertex("a", {});
-  ASSERT_TRUE(g.MergeVertices(0, 1).ok());
-  int n = 0;
-  auto comp = ConnectedComponents(g, &n);
-  EXPECT_EQ(n, 1);
-  EXPECT_EQ(comp[1], -1);
-}
-
-TEST(ComponentsTest, DegreeSequence) {
-  CollabGraph g = TriangleGraph();
-  auto deg = DegreeSequence(g);
-  std::sort(deg.begin(), deg.end());
-  EXPECT_EQ(deg, (std::vector<int64_t>{1, 2, 2, 3}));
-}
+INSTANTIATE_TEST_SUITE_P(RandomGraphs, TrianglesOfPropertyTest,
+                         ::testing::Range(1, 25));
 
 // --------------------------- WL kernel --------------------------------------
 

@@ -17,6 +17,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <random>
 #include <sstream>
@@ -26,12 +27,24 @@
 
 #include "obs/exposition.h"
 #include "obs/metrics.h"
-#include "obs/span.h"
 #include "obs/trace.h"
 #include "util/build_info.h"
 #include "util/json_reader.h"
 
 namespace iuad::obs {
+
+/// Reaches a ring slot's sequence word, to stage the states a writer
+/// leaves behind mid-store or a lap later without racing a real thread.
+class FlightRecorderTestPeer {
+ public:
+  static std::atomic<uint64_t>& SeqWord(FlightRecorder& r, int ring,
+                                        uint64_t index) {
+    FlightRecorder::Ring& rg = r.rings_[ring];
+    const uint64_t cap = static_cast<uint64_t>(rg.capacity);
+    return rg.words.load()[(index % cap) * FlightRecorder::kSlotWords];
+  }
+};
+
 namespace {
 
 TEST(HistogramTest, BucketBoundariesAreLogSpacedAndMonotone) {
@@ -230,7 +243,7 @@ TEST(RegistryTest, ConcurrentGetAndRecordIsSafe) {
   }
   for (auto& t : threads) t.join();
   EXPECT_EQ(reg.GetCounter("shared")->Value(), 8 * 500);
-  EXPECT_EQ(reg.GetHistogram("lat_us")->Count(), 8 * 500);
+  EXPECT_EQ(reg.GetHistogram("lat_us")->Snapshot().count, 8 * 500);
 }
 
 TEST(ExpositionTest, TextFormatCarriesTypesBucketsAndPercentiles) {
@@ -315,7 +328,7 @@ TEST(ExpositionTest, ProcessBlockCarriesUptimeRssAndBuildInfo) {
 }
 
 TEST(ExpositionTest, MetricsServerServesATracePath) {
-  FlightRecorder::Instance().Record(TraceEventId::kPaperSubmit, 7);
+  FlightRecorder::Instance().RecordAt(NowNs(), TraceEventId::kPaperSubmit, 7);
   Registry reg;
   MetricsServer server(&reg);
   ASSERT_TRUE(server.Start(0).ok());
@@ -355,19 +368,6 @@ TEST(ExpositionTest, MetricsServerServesATracePath) {
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
 }
 
-TEST(SpanTest, BreakdownListsStagesInOrderWithTotals) {
-  Span span(42);
-  span.Stage("enqueue", 1'000'000);   // 1ms
-  span.Stage("scatter", 2'500'000);   // 2.5ms
-  EXPECT_EQ(span.TotalNs(), 3'500'000);
-  const std::string line = span.Breakdown();
-  EXPECT_NE(line.find("seq=42"), std::string::npos);
-  EXPECT_NE(line.find("total=3.500ms"), std::string::npos);
-  EXPECT_NE(line.find("enqueue=1.000ms"), std::string::npos);
-  EXPECT_NE(line.find("scatter=2.500ms"), std::string::npos);
-  EXPECT_LT(line.find("enqueue="), line.find("scatter="));
-}
-
 TEST(FlightRecorderTest, RecordAtKeepsTheCallerStamp) {
   FlightRecorder r(64);
   r.RecordAt(123456789, TraceEventId::kPaperApply, 7, 1000);
@@ -382,7 +382,7 @@ TEST(FlightRecorderTest, RecordAtKeepsTheCallerStamp) {
 TEST(FlightRecorderTest, FullRingOverwritesOldestAndKeepsTheTail) {
   FlightRecorder r(64);
   for (uint64_t i = 0; i < 200; ++i) {
-    r.Record(TraceEventId::kPaperCommit, i, 5);
+    r.RecordAt(NowNs(), TraceEventId::kPaperCommit, i, 5);
   }
   const auto events = r.Drain();
   ASSERT_EQ(events.size(), 64u);
@@ -397,7 +397,7 @@ TEST(FlightRecorderTest, FullRingOverwritesOldestAndKeepsTheTail) {
 TEST(FlightRecorderTest, CapacityClampsToTheDocumentedFloor) {
   FlightRecorder r(1);  // clamped to 64
   for (uint64_t i = 0; i < 100; ++i) {
-    r.Record(TraceEventId::kPaperSubmit, i);
+    r.RecordAt(NowNs(), TraceEventId::kPaperSubmit, i);
   }
   EXPECT_EQ(r.Drain().size(), 64u);
 }
@@ -409,8 +409,8 @@ TEST(FlightRecorderTest, EachThreadGetsItsOwnRingAndNothingIsLost) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&r, t] {
       for (uint64_t i = 0; i < kPerThread; ++i) {
-        r.Record(TraceEventId::kShardScatter,
-                 static_cast<uint64_t>(t) * 10000 + i);
+        r.RecordAt(NowNs(), TraceEventId::kShardScatter,
+                   static_cast<uint64_t>(t) * 10000 + i);
       }
     });
   }
@@ -444,7 +444,7 @@ TEST(FlightRecorderTest, DrainDuringRecordingNeverSurfacesTornEvents) {
   std::thread writer([&] {
     uint64_t i = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      r.Record(TraceEventId::kPaperScatter, i, i * 3);
+      r.RecordAt(NowNs(), TraceEventId::kPaperScatter, i, i * 3);
       ++i;
     }
   });
@@ -460,12 +460,61 @@ TEST(FlightRecorderTest, DrainDuringRecordingNeverSurfacesTornEvents) {
   writer.join();
 }
 
+TEST(FlightRecorderTest, DrainDropsExactlyTheSlotWhoseSequenceIsNotFinished) {
+  FlightRecorder r(64);
+  for (uint64_t i = 0; i < 100; ++i) {
+    r.RecordAt(NowNs(), TraceEventId::kPaperCommit, i, i * 3);
+  }
+  ASSERT_EQ(r.Drain().size(), 64u);
+  // The ring holds indices 36..99; stage index 50 (a0 == 50).
+  constexpr uint64_t kIndex = 50;
+  std::atomic<uint64_t>& seq = FlightRecorderTestPeer::SeqWord(r, 0, kIndex);
+  ASSERT_EQ(seq.load(), 2 * kIndex + 2);
+  auto payloads = [&r] {
+    std::vector<uint64_t> a0s;
+    for (const TraceEvent& e : r.Drain()) a0s.push_back(e.a0);
+    return a0s;
+  };
+  std::vector<uint64_t> all;
+  for (uint64_t i = 36; i < 100; ++i) all.push_back(i);
+  std::vector<uint64_t> without = all;
+  without.erase(std::find(without.begin(), without.end(), kIndex));
+
+  // A writer mid-store on this slot: odd sequence.
+  seq.store(2 * kIndex + 1);
+  EXPECT_EQ(payloads(), without);
+  // The crash dump skips the odd slot too.
+  std::FILE* dump = std::tmpfile();
+  ASSERT_NE(dump, nullptr);
+  r.CrashDump(::fileno(dump));
+  std::rewind(dump);
+  int lines = 0;
+  bool saw_index = false;
+  char line[256];
+  while (std::fgets(line, sizeof(line), dump) != nullptr) {
+    ++lines;
+    if (std::strstr(line, " a0=50 ") != nullptr) saw_index = true;
+  }
+  std::fclose(dump);
+  EXPECT_EQ(lines, 63);
+  EXPECT_FALSE(saw_index);
+
+  // A writer that has already rewritten the slot a lap later: even, but
+  // not this index's sequence.
+  seq.store(2 * (kIndex + 64) + 2);
+  EXPECT_EQ(payloads(), without);
+
+  seq.store(2 * kIndex + 2);
+  EXPECT_EQ(payloads(), all);
+}
+
 TEST(FlightRecorderTest, ThreadSlotCacheSurvivesRecorderRecreation) {
   // The thread-local slot cache is keyed by a never-reused recorder id, so
   // a fresh recorder on the same thread re-claims cleanly.
   for (int lifetime = 0; lifetime < 3; ++lifetime) {
     FlightRecorder r(64);
-    r.Record(TraceEventId::kRefresh, static_cast<uint64_t>(lifetime));
+    r.RecordAt(NowNs(), TraceEventId::kRefresh,
+               static_cast<uint64_t>(lifetime));
     const auto events = r.Drain();
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].a0, static_cast<uint64_t>(lifetime));
@@ -560,7 +609,7 @@ TEST(CrashDumpTest, ForkedChildWritesAWellFormedDumpOnSigsegv) {
   if (child == 0) {
     InstallCrashHandler(path);
     FlightRecorder& r = FlightRecorder::Instance();
-    r.Record(TraceEventId::kPaperSubmit, 7);
+    r.RecordAt(NowNs(), TraceEventId::kPaperSubmit, 7);
     r.RecordAt(obs::NowNs(), TraceEventId::kPaperCommit, 7, 1234);
     ExemplarTable table(4);
     SlowCommitExemplar e;

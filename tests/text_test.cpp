@@ -62,25 +62,14 @@ TEST(VocabularyTest, CountsAccumulate) {
   v.Add("x");
   v.AddCount("x", 4);
   v.Add("y");
-  EXPECT_EQ(v.CountOf("x"), 5);
-  EXPECT_EQ(v.CountOf("y"), 1);
-  EXPECT_EQ(v.CountOf("zzz"), 0);
+  EXPECT_EQ(v.CountOf(v.Lookup("x")), 5);
+  EXPECT_EQ(v.CountOf(v.Lookup("y")), 1);
   EXPECT_EQ(v.total_count(), 6);
 }
 
 TEST(VocabularyTest, LookupUnknown) {
   Vocabulary v;
   EXPECT_EQ(v.Lookup("nope"), Vocabulary::kUnknown);
-}
-
-TEST(VocabularyTest, IdsWithMinCount) {
-  Vocabulary v;
-  v.AddCount("rare", 1);
-  v.AddCount("mid", 3);
-  v.AddCount("hot", 9);
-  auto ids = v.IdsWithMinCount(3);
-  ASSERT_EQ(ids.size(), 2u);
-  EXPECT_EQ(v.WordOf(ids[0]), "mid");
 }
 
 // --------------------------- Vector ops -------------------------------------
@@ -167,8 +156,12 @@ TEST(Word2VecTest, SameTopicWordsAreCloser) {
   cfg.min_count = 2;
   Word2Vec w2v(cfg);
   ASSERT_TRUE(w2v.Train(TwoTopicCorpus(200)).ok());
-  const double same = w2v.Similarity("kernel", "graph");
-  const double cross = w2v.Similarity("kernel", "protein");
+  const Vec* kernel = w2v.VectorOf("kernel");
+  const Vec* graph = w2v.VectorOf("graph");
+  const Vec* protein = w2v.VectorOf("protein");
+  ASSERT_TRUE(kernel && graph && protein);
+  const double same = Cosine(*kernel, *graph);
+  const double cross = Cosine(*kernel, *protein);
   EXPECT_GT(same, cross);
   EXPECT_GT(same, 0.3);
 }
@@ -267,16 +260,25 @@ TEST(Word2VecTest, NegativeTableTracksUnigramDistribution) {
   }
 }
 
-TEST(Word2VecTest, MostSimilarPrefersTopicMates) {
+TEST(Word2VecTest, NearestByCosinePreferTopicMates) {
   Word2VecConfig cfg;
   cfg.epochs = 4;
   Word2Vec w2v(cfg);
   ASSERT_TRUE(w2v.Train(TwoTopicCorpus(200)).ok());
-  auto top = w2v.MostSimilar("gene", 3);
-  ASSERT_EQ(top.size(), 3u);
+  const Vec* gene = w2v.VectorOf("gene");
+  ASSERT_NE(gene, nullptr);
+  const Vocabulary& vocab = w2v.vocabulary();
+  std::vector<std::pair<double, std::string>> ranked;
+  for (int id = 0; id < vocab.size(); ++id) {
+    const std::string& w = vocab.WordOf(id);
+    if (w != "gene") ranked.emplace_back(-Cosine(*gene, *w2v.VectorOf(w)), w);
+  }
+  std::sort(ranked.begin(), ranked.end());
+  ASSERT_GE(ranked.size(), 3u);
   const std::vector<std::string> topic_b{"protein", "cell", "enzyme", "tissue"};
   int in_topic = 0;
-  for (const auto& [w, s] : top) {
+  for (size_t i = 0; i < 3; ++i) {
+    const std::string& w = ranked[i].second;
     if (std::find(topic_b.begin(), topic_b.end(), w) != topic_b.end()) {
       ++in_topic;
     }
