@@ -90,6 +90,22 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
   --stream "$SMOKE_DIR/stream.tsv" --producers 4
 echo "snapshot save/load smoke: OK"
 
+# Numeric-flag smoke: a value that is not wholly a number is refused with
+# the usage and a nonzero exit, never truncated ("12x" -> 12) or zeroed
+# ("two" -> 0 = all cores).
+if "./$BUILD_DIR"/iuad_main generate "$SMOKE_DIR/bad.tsv" --papers 12x \
+    2> "$SMOKE_DIR/bad_flag.txt"; then
+  exit 1
+fi
+test ! -e "$SMOKE_DIR/bad.tsv"
+grep -q '^usage:' "$SMOKE_DIR/bad_flag.txt"
+if "./$BUILD_DIR"/iuad_main run "$SMOKE_DIR/corpus.tsv" --threads two \
+    2> "$SMOKE_DIR/bad_flag.txt"; then
+  exit 1
+fi
+grep -q '^usage:' "$SMOKE_DIR/bad_flag.txt"
+echo "numeric flag smoke: OK"
+
 # Sharded-serving smoke: the same snapshot serves through the 4-shard
 # ShardRouter, checkpoints the post-ingestion state on stop (a 4-section
 # snapshot + post-ingestion corpus), and that checkpoint must reload cleanly — the

@@ -10,10 +10,7 @@ namespace iuad::api {
 Dispatcher::Dispatcher(serve::Frontend* frontend, Options options)
     : frontend_(frontend),
       options_(options),
-      timing_(options.metrics_enabled),
-      tracing_(options.trace_enabled),
-      stamps_(timing_ || tracing_),
-      recorder_(&obs::FlightRecorder::Instance()),
+      clock_(options.metrics_enabled, options.trace_enabled),
       ctr_requests_(frontend->Metrics()->GetCounter("requests")),
       ctr_request_errors_(frontend->Metrics()->GetCounter("request_errors")),
       hist_decode_us_(frontend->Metrics()->GetHistogram("decode_us")),
@@ -99,7 +96,8 @@ Response Dispatcher::Execute(const Request& request) {
     case Op::kTrace:
       // Draining is destructive reading only in the sense that later
       // drains see later events; the recorder itself keeps recording.
-      response.trace = obs::ChromeTraceEvents(recorder_->Drain());
+      response.trace = obs::ChromeTraceEvents(
+          obs::FlightRecorder::Instance().Drain());
       return response;
   }
   response.status = iuad::Status::Internal("unhandled op");
@@ -107,10 +105,10 @@ Response Dispatcher::Execute(const Request& request) {
 }
 
 std::string Dispatcher::HandleLine(const std::string& line) {
-  const int64_t start_ns = stamps_ ? obs::NowNs() : 0;
+  const int64_t start_ns = clock_.Now();
   auto request = DecodeRequest(line, options_.limits);
-  const int64_t decoded_ns = stamps_ ? obs::NowNs() : 0;
-  if (timing_) hist_decode_us_->RecordNs(decoded_ns - start_ns);
+  const int64_t decoded_ns = clock_.Now();
+  clock_.Record(hist_decode_us_, start_ns, decoded_ns);
   ctr_requests_->Increment();
   if (!request.ok()) {
     ctr_request_errors_->Increment();
@@ -122,20 +120,15 @@ std::string Dispatcher::HandleLine(const std::string& line) {
   }
   Response response = Execute(*request);
   if (!response.status.ok()) ctr_request_errors_->Increment();
-  const int64_t executed_ns = stamps_ ? obs::NowNs() : 0;
-  if (timing_) {
-    hist_request_us_[static_cast<size_t>(request->op)]->RecordNs(
-        executed_ns - decoded_ns);
-  }
-  if (tracing_) {
-    // One "request" span per decoded line: a0 = Op value, a1 = execute
-    // duration (decode and encode stay histogram-only detail).
-    recorder_->RecordAt(executed_ns, obs::TraceEventId::kRequest,
-                        static_cast<uint64_t>(request->op),
-                        static_cast<uint64_t>(executed_ns - decoded_ns));
-  }
+  // One "request" span per decoded line: a0 = Op value, a1 = execute
+  // duration (decode and encode stay histogram-only detail).
+  const int64_t executed_ns = clock_.Now();
+  clock_.Stage(decoded_ns, executed_ns,
+               hist_request_us_[static_cast<size_t>(request->op)],
+               obs::TraceEventId::kRequest,
+               static_cast<uint64_t>(request->op));
   std::string encoded = EncodeResponse(response);
-  if (timing_) hist_encode_us_->RecordNs(obs::NowNs() - executed_ns);
+  clock_.RecordSince(hist_encode_us_, executed_ns);
   return encoded;
 }
 

@@ -46,13 +46,15 @@ class Dispatcher {
     int max_batch = 64;
     /// Wire-decoding limits for untrusted transports.
     WireLimits limits;
-    /// Gates the clock reads behind the request-path stage histograms
-    /// (decode_us / request_us_<op> / encode_us); request counters stay
-    /// live regardless (core::IuadConfig::metrics_enabled).
+    /// Request-path stage histograms (decode_us / request_us_<op> /
+    /// encode_us) record only with this on; request counters stay live
+    /// regardless (core::IuadConfig::metrics_enabled).
     bool metrics_enabled = true;
-    /// Gates per-request flight-recorder events ("request" spans in the
-    /// drained trace; core::IuadConfig::trace_enabled). The trace op
-    /// itself always answers — with an empty drain when recording is off.
+    /// Per-request flight-recorder events ("request" spans in the drained
+    /// trace) are stored only with this on (core::IuadConfig::
+    /// trace_enabled). The trace op itself always answers — with an empty
+    /// drain when recording is off. Both flags build one obs::StageClock,
+    /// which reads the clock when either is on.
     bool trace_enabled = true;
   };
 
@@ -80,13 +82,9 @@ class Dispatcher {
   serve::Frontend* frontend_;
   Options options_;
 
-  // Request-path instruments (frontend registry; see obs/metrics.h).
-  // `stamps_` gates the clock reads shared by both sinks: histograms
-  // record when `timing_`, flight-recorder events when `tracing_`.
-  const bool timing_;
-  const bool tracing_;
-  const bool stamps_;
-  obs::FlightRecorder* recorder_;
+  // Request-path instruments (frontend registry; see obs/metrics.h),
+  // stamped through clock_ (obs::StageClock: the one clock-read policy).
+  const obs::StageClock clock_;
   obs::Counter* ctr_requests_;
   obs::Counter* ctr_request_errors_;
   obs::Histogram* hist_decode_us_;

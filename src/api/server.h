@@ -45,7 +45,7 @@ struct ServerOptions {
   /// Dispatcher limits (see Dispatcher::Options).
   int max_batch = 64;
   WireLimits limits;
-  /// Gates request-path timing histograms (Dispatcher::Options);
+  /// Gates request-path stage histograms (Dispatcher::Options);
   /// connection/byte counters stay live regardless.
   bool metrics_enabled = true;
   /// Gates per-request flight-recorder events (Dispatcher::Options).

@@ -77,6 +77,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -165,16 +166,32 @@ std::map<std::string, std::string> ParseFlags(int argc, char** argv,
   return flags;
 }
 
+/// Sets `*out` from flag `--name` when it is given. A value that is not
+/// wholly a number of type T (ParseNumber in util/strings.h rejects "12x",
+/// "two", "") prints the usage and exits with status 1.
+template <typename T>
+void NumericFlag(const std::map<std::string, std::string>& flags,
+                 const char* name, T* out) {
+  auto it = flags.find(name);
+  if (it == flags.end()) return;
+  const std::optional<T> v = ParseNumber<T>(it->second);
+  if (!v) {
+    std::fprintf(stderr, "iuad: --%s needs a number, got '%s'\n", name,
+                 it->second.c_str());
+    Usage();
+    std::exit(1);
+  }
+  *out = *v;
+}
+
 int CmdGenerate(const std::string& out,
                 const std::map<std::string, std::string>& flags) {
   data::CorpusConfig cfg;
   cfg.num_papers = 10000;
-  if (auto it = flags.find("papers"); it != flags.end()) {
-    cfg.num_papers = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("seed"); it != flags.end()) {
-    cfg.seed = static_cast<uint64_t>(std::atoll(it->second.c_str()));
-  }
+  NumericFlag(flags, "papers", &cfg.num_papers);
+  int64_t seed = static_cast<int64_t>(cfg.seed);
+  NumericFlag(flags, "seed", &seed);
+  cfg.seed = static_cast<uint64_t>(seed);
   // Hold DBLP-like density at any requested scale (cf. bench_common.h).
   const int authors = std::max(400, cfg.num_papers / 5);
   cfg.num_communities = std::max(4, authors / cfg.authors_per_community);
@@ -196,18 +213,10 @@ core::IuadConfig ConfigFromFlags(
     const std::map<std::string, std::string>& flags) {
   core::IuadConfig cfg;
   cfg.word2vec.dim = 24;
-  if (auto it = flags.find("eta"); it != flags.end()) {
-    cfg.eta = std::atoll(it->second.c_str());
-  }
-  if (auto it = flags.find("delta"); it != flags.end()) {
-    cfg.delta = std::atof(it->second.c_str());
-  }
-  if (auto it = flags.find("threads"); it != flags.end()) {
-    cfg.num_threads = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("shards"); it != flags.end()) {
-    cfg.word2vec.num_shards = std::atoi(it->second.c_str());
-  }
+  NumericFlag(flags, "eta", &cfg.eta);
+  NumericFlag(flags, "delta", &cfg.delta);
+  NumericFlag(flags, "threads", &cfg.num_threads);
+  NumericFlag(flags, "shards", &cfg.word2vec.num_shards);
   return cfg;
 }
 
@@ -622,12 +631,8 @@ int CmdServe(const std::string& in,
   if (auto it = flags.find("wal-dir"); it != flags.end() &&
                                        !it->second.empty()) {
     wal_dir = it->second;
-    if (auto f = flags.find("wal-fsync-every"); f != flags.end()) {
-      wal_opts.fsync_every_n = std::atoi(f->second.c_str());
-    }
-    if (auto f = flags.find("wal-fsync-ms"); f != flags.end()) {
-      wal_opts.fsync_interval_ms = std::atof(f->second.c_str());
-    }
+    NumericFlag(flags, "wal-fsync-every", &wal_opts.fsync_every_n);
+    NumericFlag(flags, "wal-fsync-ms", &wal_opts.fsync_interval_ms);
     auto opened = wal::Log::Open(wal_dir, db->Fingerprint(), wal_opts);
     if (!opened.ok()) return Fail(opened.status().ToString());
     wal_log = std::move(*opened);
@@ -650,40 +655,24 @@ int CmdServe(const std::string& in,
   cfg.wal_dir = wal_dir;
   cfg.wal_fsync_every_n = wal_opts.fsync_every_n;
   cfg.wal_fsync_interval_ms = wal_opts.fsync_interval_ms;
-  if (auto it = flags.find("wal-checkpoint-every"); it != flags.end()) {
-    cfg.wal_checkpoint_every_n = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("queue"); it != flags.end()) {
-    cfg.ingest_queue_capacity = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("window"); it != flags.end()) {
-    cfg.ingest_refresh_window = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("shards"); it != flags.end()) {
-    cfg.num_shards = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("pipeline-depth"); it != flags.end()) {
-    cfg.pipeline_depth = std::atoi(it->second.c_str());
-  }
+  NumericFlag(flags, "wal-checkpoint-every", &cfg.wal_checkpoint_every_n);
+  NumericFlag(flags, "queue", &cfg.ingest_queue_capacity);
+  NumericFlag(flags, "window", &cfg.ingest_refresh_window);
+  NumericFlag(flags, "shards", &cfg.num_shards);
+  NumericFlag(flags, "pipeline-depth", &cfg.pipeline_depth);
+  // A bare --port serves TCP on the configured port; a bare --metrics-port
+  // leaves the endpoint as configured.
   if (auto it = flags.find("port"); it != flags.end() && !it->second.empty()) {
-    cfg.api_port = std::atoi(it->second.c_str());
+    NumericFlag(flags, "port", &cfg.api_port);
   }
-  if (auto it = flags.find("workers"); it != flags.end()) {
-    cfg.api_num_workers = std::atoi(it->second.c_str());
-  }
-  if (auto it = flags.find("max-batch"); it != flags.end()) {
-    cfg.api_max_batch = std::atoi(it->second.c_str());
-  }
+  NumericFlag(flags, "workers", &cfg.api_num_workers);
+  NumericFlag(flags, "max-batch", &cfg.api_max_batch);
   if (auto it = flags.find("metrics-port");
       it != flags.end() && !it->second.empty()) {
-    cfg.metrics_port = std::atoi(it->second.c_str());
+    NumericFlag(flags, "metrics-port", &cfg.metrics_port);
   }
-  if (auto it = flags.find("stats-interval"); it != flags.end()) {
-    cfg.stats_interval_s = std::atof(it->second.c_str());
-  }
-  if (auto it = flags.find("slow-commit-ms"); it != flags.end()) {
-    cfg.slow_commit_ms = std::atof(it->second.c_str());
-  }
+  NumericFlag(flags, "stats-interval", &cfg.stats_interval_s);
+  NumericFlag(flags, "slow-commit-ms", &cfg.slow_commit_ms);
   if (flags.count("no-metrics") > 0) cfg.metrics_enabled = false;
   if (auto it = flags.find("trace-out");
       it != flags.end() && !it->second.empty()) {
@@ -706,8 +695,9 @@ int CmdServe(const std::string& in,
       snap->result.model ? "fitted" : "absent (SCN-only)");
 
   int producers = 1;
-  if (auto it = flags.find("producers"); it != flags.end()) {
-    producers = util::ResolveNumThreads(std::atoi(it->second.c_str()));
+  if (flags.count("producers") > 0) {
+    NumericFlag(flags, "producers", &producers);
+    producers = util::ResolveNumThreads(producers);
   }
 
   std::fprintf(info,

@@ -168,11 +168,11 @@ struct IuadConfig {
   int api_max_batch = 64;
 
   // --- Observability (src/obs) -------------------------------------------
-  /// Gates latency recording (the clock reads and histogram updates) on the
-  /// serving hot paths. Counters and the stats/metrics surfaces stay live
-  /// either way — disabling only stops timing. Assignments are
-  /// byte-identical at either setting (DESIGN.md §7); the flag exists to
-  /// prove it and to shave the last clock reads off benchmark runs.
+  /// Gates the stage-latency histogram updates on the serving hot paths;
+  /// counters and the stats/metrics surfaces stay live either way. With
+  /// trace_enabled it builds the obs::StageClock every stage is timed
+  /// through, which reads the clock when either flag is on. Assignments
+  /// are byte-identical at every setting (DESIGN.md §7).
   /// CLI flag: --no-metrics on `serve`.
   bool metrics_enabled = true;
   /// Port of the Prometheus-style text exposition endpoint (`serve
@@ -188,9 +188,9 @@ struct IuadConfig {
   /// slow-commit retention. Only consulted when stage stamps exist, i.e.
   /// metrics or tracing is enabled. CLI flag: --slow-commit-ms.
   double slow_commit_ms = 0.0;
-  /// Gates the flight recorder (per-paper trace events on the serving hot
-  /// paths). Like metrics_enabled, the flag gates clock reads and ring
-  /// stores only — assignments are byte-identical at either setting
+  /// Gates the flight-recorder stores (per-paper trace events on the
+  /// serving hot paths), sharing metrics_enabled's clock reads through
+  /// obs::StageClock. Assignments are byte-identical at either setting
   /// (DESIGN.md §8). CLI flag: --no-trace on `serve`.
   bool trace_enabled = true;
   /// Path the serve CLI writes the Chrome trace-event JSON to on shutdown;

@@ -1,8 +1,8 @@
 #include "data/paper_database.h"
 
 #include <algorithm>
-#include <charconv>
 #include <numeric>
+#include <optional>
 
 #include "text/tokenizer.h"
 #include "util/strings.h"
@@ -16,14 +16,12 @@ const std::vector<int> kNoPapers;
 /// Parses the whole of `field` as a base-10 int; InvalidArgument naming
 /// `what` on anything else (empty, trailing junk, out of range).
 iuad::Result<int> ParseIntField(const std::string& field, const char* what) {
-  int v = 0;
-  const char* end = field.data() + field.size();
-  const auto [ptr, ec] = std::from_chars(field.data(), end, v);
-  if (ec != std::errc() || ptr != end) {
+  const std::optional<int> v = ParseNumber<int>(field);
+  if (!v) {
     return iuad::Status::InvalidArgument(std::string("bad ") + what + ": '" +
                                          field + "'");
   }
-  return v;
+  return *v;
 }
 
 /// FNV-1a accumulator. Strings are hashed with their length so record

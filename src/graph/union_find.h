@@ -21,7 +21,6 @@ class UnionFind {
     parent_.resize(static_cast<size_t>(n));
     std::iota(parent_.begin(), parent_.end(), 0);
     size_.assign(static_cast<size_t>(n), 1);
-    num_sets_ = n;
   }
 
   /// Representative of x's set (with path halving).
@@ -44,19 +43,14 @@ class UnionFind {
     }
     parent_[static_cast<size_t>(b)] = a;
     size_[static_cast<size_t>(a)] += size_[static_cast<size_t>(b)];
-    --num_sets_;
     return a;
   }
 
-  bool Connected(int a, int b) { return Find(a) == Find(b); }
-  int SetSize(int x) { return size_[static_cast<size_t>(Find(x))]; }
-  int num_sets() const { return num_sets_; }
   int size() const { return static_cast<int>(parent_.size()); }
 
  private:
   std::vector<int> parent_;
   std::vector<int> size_;
-  int num_sets_ = 0;
 };
 
 }  // namespace iuad::graph

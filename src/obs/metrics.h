@@ -19,9 +19,10 @@
 /// Determinism contract (DESIGN.md §7). Nothing here feeds back into
 /// disambiguation: instruments are written, snapshotted, and exported,
 /// never read on a decision path. Assignments are byte-identical with
-/// metrics enabled or disabled; IuadConfig::metrics_enabled gates only
-/// the clock reads at the recording call sites, not the registry itself,
-/// so counters and the stats surface stay live even when timing is off.
+/// metrics enabled or disabled. IuadConfig::metrics_enabled gates only the
+/// stage-histogram updates, through obs::StageClock (obs/trace.h), which
+/// also decides when a clock is read; the registry itself and its counters
+/// and the stats surface stay live even when metrics are off.
 ///
 /// Histogram shape. 64 buckets over microseconds with log-spaced upper
 /// boundaries 10^(i/8) µs (8 buckets per decade, ~1 µs .. ~56 s; the last

@@ -18,11 +18,12 @@
 /// never surfaced.
 ///
 /// Determinism (DESIGN.md §7/§8). Nothing here is ever read on a
-/// decision path; `trace_enabled` gates only the clock reads and ring
-/// stores at call sites, exactly like `metrics_enabled` gates histogram
-/// stamps. Call sites that time a stage for metrics reuse the same
-/// stamp for the trace event (`RecordAt`), so turning tracing on adds
-/// no clock reads where timing is already on.
+/// decision path. Serving call sites never test `metrics_enabled` or
+/// `trace_enabled` themselves: they time stages through one StageClock,
+/// which reads the clock when either surface is on and hands the same
+/// stamps to the histograms (metrics on) and to the flight recorder
+/// (tracing on), so turning tracing on adds no clock reads where metrics
+/// are already on.
 ///
 /// Event model. There are no begin/end pairs to match up: an event is
 /// either an instant or carries its own duration in `a1`, stamped at
@@ -37,6 +38,8 @@
 #include <mutex>
 #include <string>
 #include <vector>
+
+#include "obs/metrics.h"
 
 namespace iuad::obs {
 
@@ -163,6 +166,62 @@ class FlightRecorder {
   Ring rings_[kMaxThreads];
   std::atomic<int> claimed_slots_{0};
   std::atomic<int64_t> dropped_{0};
+};
+
+// ---- Stage clock ------------------------------------------------------------
+
+/// The one clock-read policy of the serving path (DESIGN.md §8.3), built
+/// from (metrics_enabled, trace_enabled): the clock is read when either
+/// surface is on, durations reach histograms only with metrics on, and
+/// events reach the flight recorder only with tracing on. Either surface
+/// alone pays for each stamp once; both on read no extra clock; both off
+/// read none (Now() returns 0, so admission stamps stay 0 and no exemplar
+/// is taken). Inline, so a call site compiles to the loads and branches
+/// of open-coded flags.
+class StageClock {
+ public:
+  StageClock(bool metrics_enabled, bool trace_enabled)
+      : metrics_(metrics_enabled),
+        trace_(trace_enabled),
+        stamps_(metrics_enabled || trace_enabled),
+        recorder_(&FlightRecorder::Instance()) {}
+
+  /// NowNs() when either surface is on, else 0 without reading the clock.
+  int64_t Now() const { return stamps_ ? NowNs() : 0; }
+
+  /// One timed stage ending at `end`: `end - start` into `hist` (metrics
+  /// on) and span event `id` stamped at `end` with a0 and the duration as
+  /// a1 (tracing on). Returns the duration.
+  int64_t Stage(int64_t start, int64_t end, Histogram* hist, TraceEventId id,
+                uint64_t a0) const {
+    const int64_t ns = end - start;
+    if (metrics_) hist->RecordNs(ns);
+    if (trace_) recorder_->RecordAt(end, id, a0, static_cast<uint64_t>(ns));
+    return ns;
+  }
+
+  /// Flight-recorder event only (tracing on): instants, and spans whose
+  /// histogram sample is taken once for many events.
+  void Trace(int64_t at, TraceEventId id, uint64_t a0, uint64_t a1 = 0) const {
+    if (trace_) recorder_->RecordAt(at, id, a0, a1);
+  }
+
+  /// Histogram sample only (metrics on): `end - start` into `hist`.
+  void Record(Histogram* hist, int64_t start, int64_t end) const {
+    if (metrics_) hist->RecordNs(end - start);
+  }
+
+  /// Histogram sample for a stage ending now that no event marks: reads
+  /// the clock only with metrics on.
+  void RecordSince(Histogram* hist, int64_t start) const {
+    if (metrics_) hist->RecordNs(NowNs() - start);
+  }
+
+ private:
+  const bool metrics_;
+  const bool trace_;
+  const bool stamps_;  ///< metrics_ || trace_: the clock is read.
+  FlightRecorder* const recorder_;
 };
 
 // ---- Chrome trace-event export ----------------------------------------------

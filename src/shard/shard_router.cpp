@@ -30,9 +30,7 @@ ShardRouter::ShardRouter(data::PaperDatabase* db,
       wal_(wal),
       placement_(BlockPlacement::Build(result->graph, config_.num_shards,
                                        config_.shard_placement)),
-      timing_(config_.metrics_enabled),
-      tracing_(config_.trace_enabled),
-      stamps_(timing_ || tracing_),
+      clock_(config_.metrics_enabled, config_.trace_enabled),
       start_ns_(obs::NowNs()),
       ctr_papers_applied_(registry_.GetCounter("papers_applied")),
       ctr_papers_failed_(registry_.GetCounter("papers_failed")),
@@ -53,7 +51,6 @@ ShardRouter::ShardRouter(data::PaperDatabase* db,
       hist_publish_us_(registry_.GetHistogram("publish_us")),
       hist_refresh_us_(registry_.GetHistogram("refresh_us")),
       hist_commit_latency_us_(registry_.GetHistogram("commit_latency_us")),
-      recorder_(&obs::FlightRecorder::Instance()),
       exemplars_(config_.trace_exemplars) {
   if (wal_ != nullptr) {
     // WAL instruments live in the router's registry (one scrape surface);
@@ -147,10 +144,8 @@ std::future<ShardRouter::Assignments> ShardRouter::SubmitLocked(
         "duplicate ingest sequence " + std::to_string(seq)));
     return future;
   }
-  const int64_t submit_ns = stamps_ ? obs::NowNs() : 0;
-  if (tracing_) {
-    recorder_->RecordAt(submit_ns, obs::TraceEventId::kPaperSubmit, seq);
-  }
+  const int64_t submit_ns = clock_.Now();
+  clock_.Trace(submit_ns, obs::TraceEventId::kPaperSubmit, seq);
   Request request{std::move(paper), std::move(promise), submit_ns};
   pending_.emplace(seq, std::move(request));
   gauge_queue_depth_->Set(static_cast<int64_t>(pending_.size()));
@@ -159,22 +154,14 @@ std::future<ShardRouter::Assignments> ShardRouter::SubmitLocked(
 }
 
 void ShardRouter::RunWindow(std::vector<InFlight> window) {
-  if (stamps_) {
-    const int64_t extract_ns = obs::NowNs();
-    if (tracing_) {
-      recorder_->RecordAt(extract_ns, obs::TraceEventId::kWindowExtract,
-                          window.front().seq, window.size());
-    }
-    for (InFlight& w : window) {
-      w.extract_ns = extract_ns;
-      if (w.submit_ns > 0) {
-        if (timing_) hist_enqueue_wait_us_->RecordNs(extract_ns - w.submit_ns);
-        if (tracing_) {
-          recorder_->RecordAt(extract_ns, obs::TraceEventId::kPaperExtract,
-                              w.seq,
-                              static_cast<uint64_t>(extract_ns - w.submit_ns));
-        }
-      }
+  const int64_t extract_ns = clock_.Now();
+  clock_.Trace(extract_ns, obs::TraceEventId::kWindowExtract,
+               window.front().seq, window.size());
+  for (InFlight& w : window) {
+    w.extract_ns = extract_ns;
+    if (w.submit_ns > 0) {  // 0 exactly when the clock is off
+      clock_.Stage(w.submit_ns, extract_ns, hist_enqueue_wait_us_,
+                   obs::TraceEventId::kPaperExtract, w.seq);
     }
   }
   // Build the conflict scoreboard: each paper's block set is both its read
@@ -204,28 +191,23 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
       if (it != claimed.end()) {
         w.deferred[i] = true;
         w.blocked_by[i] = it->second;
-        if (tracing_) {
-          recorder_->RecordAt(w.extract_ns, obs::TraceEventId::kPaperDefer,
-                              w.seq, it->second);
-        }
+        clock_.Trace(w.extract_ns, obs::TraceEventId::kPaperDefer, w.seq,
+                     it->second);
       }
     }
     for (util::NameId b : w.blocks) claimed[b] = w.seq;
   }
   if (result_->model != nullptr) {
-    const int64_t scatter_start_ns = stamps_ ? obs::NowNs() : 0;
+    const int64_t scatter_start_ns = clock_.Now();
     ScatterWindow(&window);
-    if (stamps_) {
-      const int64_t scatter_end_ns = obs::NowNs();
-      const int64_t scatter_ns = scatter_end_ns - scatter_start_ns;
-      if (timing_) hist_scatter_us_->RecordNs(scatter_ns);
-      for (InFlight& w : window) {
-        w.scatter_ns = scatter_ns;
-        if (tracing_) {
-          recorder_->RecordAt(scatter_end_ns, obs::TraceEventId::kPaperScatter,
-                              w.seq, static_cast<uint64_t>(scatter_ns));
-        }
-      }
+    const int64_t scatter_end_ns = clock_.Now();
+    const int64_t scatter_ns = scatter_end_ns - scatter_start_ns;
+    // One histogram sample per window, one span per paper.
+    clock_.Record(hist_scatter_us_, scatter_start_ns, scatter_end_ns);
+    for (InFlight& w : window) {
+      w.scatter_ns = scatter_ns;
+      clock_.Trace(scatter_end_ns, obs::TraceEventId::kPaperScatter, w.seq,
+                   static_cast<uint64_t>(scatter_ns));
     }
   }
   ctr_windows_->Increment();
@@ -265,23 +247,17 @@ void ShardRouter::RunWindow(std::vector<InFlight> window) {
       }
     }
     const bool publish = since_publish_ >= config_.ingest_refresh_window;
-    const int64_t publish_start_ns = stamps_ ? obs::NowNs() : 0;
+    const int64_t publish_start_ns = clock_.Now();
     if (publish) PublishView();
-    const int64_t done_ns = stamps_ ? obs::NowNs() : 0;
-    if (timing_ && publish) {
-      hist_publish_us_->RecordNs(done_ns - publish_start_ns);
+    const int64_t done_ns = clock_.Now();
+    if (publish) {
+      clock_.Stage(publish_start_ns, done_ns, hist_publish_us_,
+                   obs::TraceEventId::kPaperPublish, w.seq);
     }
-    if (tracing_ && publish) {
-      recorder_->RecordAt(done_ns, obs::TraceEventId::kPaperPublish, w.seq,
-                          static_cast<uint64_t>(done_ns - publish_start_ns));
-    }
-    if (stamps_ && applied.ok() && w.submit_ns > 0) {
-      const int64_t latency_ns = done_ns - w.submit_ns;
-      if (timing_) hist_commit_latency_us_->RecordNs(latency_ns);
-      if (tracing_) {
-        recorder_->RecordAt(done_ns, obs::TraceEventId::kPaperCommit, w.seq,
-                            static_cast<uint64_t>(latency_ns));
-      }
+    if (applied.ok() && w.submit_ns > 0) {
+      const int64_t latency_ns =
+          clock_.Stage(w.submit_ns, done_ns, hist_commit_latency_us_,
+                       obs::TraceEventId::kPaperCommit, w.seq);
       if (config_.slow_commit_ms > 0.0 &&
           static_cast<double>(latency_ns) / 1e6 > config_.slow_commit_ms) {
         obs::SlowCommitExemplar exemplar;
@@ -372,24 +348,15 @@ void ShardRouter::ScatterWindow(std::vector<InFlight>* window) {
     // the thread that ran it (histograms and the flight recorder are both
     // safe from any thread; the skew across shards is the placement-quality
     // signal).
-    const int64_t shard_start_ns = stamps_ ? obs::NowNs() : 0;
+    const int64_t shard_start_ns = clock_.Now();
     for (const auto& [j, i] : by_shard[s]) {
       InFlight& w = (*window)[j];
       w.decisions[i] = core::ScoreOccurrence(
           *shards_[s].sim, *result_->model, result_->graph, w.paper,
           w.paper.author_names[i], config_.delta, version);
     }
-    if (stamps_) {
-      const int64_t shard_end_ns = obs::NowNs();
-      if (timing_) {
-        hist_shard_scatter_us_[s]->RecordNs(shard_end_ns - shard_start_ns);
-      }
-      if (tracing_) {
-        recorder_->RecordAt(shard_end_ns, obs::TraceEventId::kShardScatter, s,
-                            static_cast<uint64_t>(shard_end_ns -
-                                                  shard_start_ns));
-      }
-    }
+    clock_.Stage(shard_start_ns, clock_.Now(), hist_shard_scatter_us_[s],
+                 obs::TraceEventId::kShardScatter, s);
   };
   if (involved.size() == 1) {
     score_shard(involved[0]);
@@ -431,7 +398,7 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
   // scatter or an earlier commit, and their predecessors' papers were
   // folded into the owning shard's profiles, so those are warm.
   const size_t n = w->paper.author_names.size();
-  const int64_t rescore_start_ns = stamps_ ? obs::NowNs() : 0;
+  const int64_t rescore_start_ns = clock_.Now();
   bool rescored = false;
   for (size_t i = 0; i < n; ++i) {
     if (!w->deferred[i]) continue;
@@ -442,14 +409,10 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
     ctr_speculative_rescores_->Increment();
     rescored = true;
   }
-  if (stamps_ && rescored) {
-    const int64_t rescore_end_ns = obs::NowNs();
-    w->rescore_ns = rescore_end_ns - rescore_start_ns;
-    if (timing_) hist_rescore_us_->RecordNs(w->rescore_ns);
-    if (tracing_) {
-      recorder_->RecordAt(rescore_end_ns, obs::TraceEventId::kPaperRescore,
-                          w->seq, static_cast<uint64_t>(w->rescore_ns));
-    }
+  if (rescored) {
+    w->rescore_ns = clock_.Stage(rescore_start_ns, clock_.Now(),
+                                 hist_rescore_us_,
+                                 obs::TraceEventId::kPaperRescore, w->seq);
   }
   if (w->overlapped) {
     ctr_overlapped_papers_->Increment();
@@ -471,7 +434,7 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
 
   // Same mutation order as the sequential path, then shard-targeted profile
   // folds — a touched vertex is only ever scored by its block's owner.
-  const int64_t apply_start_ns = stamps_ ? obs::NowNs() : 0;
+  const int64_t apply_start_ns = clock_.Now();
   std::vector<graph::VertexId> touched;
   auto applied = core::ApplyDecisions(w->paper, w->decisions, db_, result_,
                                       &touched);
@@ -481,15 +444,8 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
                                      result_->graph.NameOf(v));
     shards_[static_cast<size_t>(s)].sim->FoldProfile(v);
   }
-  if (stamps_) {
-    const int64_t apply_end_ns = obs::NowNs();
-    w->apply_ns = apply_end_ns - apply_start_ns;
-    if (timing_) hist_apply_us_->RecordNs(w->apply_ns);
-    if (tracing_) {
-      recorder_->RecordAt(apply_end_ns, obs::TraceEventId::kPaperApply,
-                          w->seq, static_cast<uint64_t>(w->apply_ns));
-    }
-  }
+  w->apply_ns = clock_.Stage(apply_start_ns, clock_.Now(), hist_apply_us_,
+                             obs::TraceEventId::kPaperApply, w->seq);
   if (!applied.ok()) ctr_papers_failed_->Increment();
   if (applied.ok()) {
     ctr_papers_applied_->Increment();
@@ -514,7 +470,7 @@ ShardRouter::Assignments ShardRouter::CommitPaper(InFlight* w) {
 }
 
 void ShardRouter::RefreshShards() {
-  const int64_t refresh_start_ns = stamps_ ? obs::NowNs() : 0;
+  const int64_t refresh_start_ns = clock_.Now();
   // Same storage hygiene as the sequential path's Refresh(): fold the
   // adjacency overflow log into the packed base arrays between fences (the
   // router is the only graph mutator; published views never read it).
@@ -543,16 +499,8 @@ void ShardRouter::RefreshShards() {
   }
   since_refresh_ = 0;
   ctr_refreshes_->Increment();
-  if (stamps_) {
-    const int64_t refresh_end_ns = obs::NowNs();
-    if (timing_) hist_refresh_us_->RecordNs(refresh_end_ns - refresh_start_ns);
-    if (tracing_) {
-      recorder_->RecordAt(refresh_end_ns, obs::TraceEventId::kRefresh,
-                          commit_version_,
-                          static_cast<uint64_t>(refresh_end_ns -
-                                                refresh_start_ns));
-    }
-  }
+  clock_.Stage(refresh_start_ns, clock_.Now(), hist_refresh_us_,
+               obs::TraceEventId::kRefresh, commit_version_);
 }
 
 void ShardRouter::RouterLoop() {

@@ -169,7 +169,9 @@ class ShardRouter : public serve::Frontend {
   struct Request {
     data::Paper paper;
     std::promise<Assignments> promise;
-    int64_t submit_ns = 0;  ///< obs::NowNs() at admission; 0 if timing off.
+    /// Admission stamp (clock_.Now()); 0 only when metrics and tracing are
+    /// both off.
+    int64_t submit_ns = 0;
   };
 
   /// One shard's mutable state. The similarity computer is only ever used
@@ -211,8 +213,8 @@ class ShardRouter : public serve::Frontend {
     std::vector<uint64_t> blocked_by;
     std::vector<core::OccurrenceDecision> decisions;
     bool overlapped = false;  ///< >= 1 byline scored in the scatter phase.
-    // Paper-path span stamps/durations (nanoseconds), filled only when
-    // stage stamps are on (metrics or tracing); they feed the histograms,
+    // Paper-path span stamps/durations (nanoseconds) from clock_, 0 when
+    // metrics and tracing are both off; they feed the histograms,
     // the flight recorder, and the slow-commit exemplars.
     int64_t submit_ns = 0;   ///< Admission stamp (from Request).
     int64_t extract_ns = 0;  ///< Window-extraction stamp.
@@ -290,14 +292,10 @@ class ShardRouter : public serve::Frontend {
   uint64_t commit_version_ = 0;
 
   // Observability (src/obs). Instruments are resolved once at construction
-  // and recorded lock-free thereafter. timing_ (metrics_enabled) gates the
-  // histogram records, tracing_ (trace_enabled) gates the flight-recorder
-  // stores, and stamps_ — their OR — gates the clock reads both share, so
-  // either surface alone pays for the stamps exactly once (DESIGN.md §8).
+  // and recorded lock-free thereafter; every stage stamp goes through
+  // clock_, which decides when the clock is read and which sink records.
   obs::Registry registry_;
-  const bool timing_;
-  const bool tracing_;
-  const bool stamps_;
+  const obs::StageClock clock_;
   const int64_t start_ns_;  ///< Construction stamp, for uptime_seconds.
   obs::Counter* ctr_papers_applied_;
   obs::Counter* ctr_papers_failed_;
@@ -329,7 +327,6 @@ class ShardRouter : public serve::Frontend {
   obs::Gauge* gauge_wal_ckpt_seq_ = nullptr;
   obs::Gauge* gauge_wal_ckpt_ts_ = nullptr;
   obs::Histogram* hist_wal_fsync_wait_us_ = nullptr;
-  obs::FlightRecorder* recorder_;  ///< The process-wide flight recorder.
   /// Top-K slowest commits (config.trace_exemplars); offered to only on
   /// the already-slow path, surfaced through Stats().
   obs::ExemplarTable exemplars_;

@@ -150,21 +150,6 @@ class Rng {
     }
   }
 
-  /// Samples an index proportional to the (nonnegative) weights.
-  /// Returns -1 when all weights are zero or the vector is empty.
-  int WeightedIndex(const std::vector<double>& weights) {
-    double total = 0.0;
-    for (double w : weights) total += w;
-    if (total <= 0.0) return -1;
-    double u = UniformDouble() * total;
-    double acc = 0.0;
-    for (size_t i = 0; i < weights.size(); ++i) {
-      acc += weights[i];
-      if (u <= acc) return static_cast<int>(i);
-    }
-    return static_cast<int>(weights.size()) - 1;
-  }
-
  private:
   static uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
   uint64_t s_[4];

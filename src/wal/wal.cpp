@@ -114,8 +114,6 @@ iuad::Result<std::string> ReadWholeFile(const std::string& path) {
   return out;
 }
 
-int64_t SteadyNowNs() { return obs::NowNs(); }
-
 }  // namespace
 
 Log::Log(std::string dir, Options options)
@@ -176,7 +174,7 @@ iuad::Status Log::OpenImpl(uint64_t base_fingerprint) {
     IUAD_RETURN_NOT_OK(OpenActiveSegment(0));
     durable_next_ = 0;
     buffered_next_ = 0;
-    last_sync_ns_ = SteadyNowNs();
+    last_sync_ns_ = obs::NowNs();
     return iuad::Status::OK();
   }
   if (base_fingerprint_ != base_fingerprint) {
@@ -187,7 +185,7 @@ iuad::Status Log::OpenImpl(uint64_t base_fingerprint) {
   session_base_ = snapshot_seq_;
   IUAD_RETURN_NOT_OK(ScanSegments());
   IUAD_RETURN_NOT_OK(RecoverSegments());
-  last_sync_ns_ = SteadyNowNs();
+  last_sync_ns_ = obs::NowNs();
   return iuad::Status::OK();
 }
 
@@ -568,7 +566,7 @@ bool Log::MaybeFlush() {
   if (buffered_records_ == 0 || !io_status_.ok()) return true;
   bool due = buffered_records_ >= options_.fsync_every_n;
   if (!due && options_.fsync_interval_ms > 0) {
-    due = static_cast<double>(SteadyNowNs() - last_sync_ns_) >=
+    due = static_cast<double>(obs::NowNs() - last_sync_ns_) >=
           options_.fsync_interval_ms * 1e6;
   }
   if (!due) return false;
@@ -595,7 +593,7 @@ iuad::Status Log::Flush() {
     }
     off += static_cast<size_t>(n);
   }
-  const int64_t t0 = SteadyNowNs();
+  const int64_t t0 = obs::NowNs();
   // fdatasync, not fsync: the group commit needs the data blocks and the
   // post-append file size durable, not the timestamps — and this wait is
   // paid inline by the commit thread.
@@ -604,7 +602,7 @@ iuad::Status Log::Flush() {
     if (append_errors_ != nullptr) append_errors_->Increment();
     return io_status_;
   }
-  const int64_t t1 = SteadyNowNs();
+  const int64_t t1 = obs::NowNs();
   if (fsync_wait_us_ != nullptr) fsync_wait_us_->RecordNs(t1 - t0);
   if (fsyncs_ != nullptr) fsyncs_->Increment();
   if (bytes_ != nullptr) bytes_->Add(static_cast<int64_t>(buffer_.size()));

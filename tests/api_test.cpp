@@ -13,7 +13,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <random>
 #include <sstream>
 #include <string>
@@ -23,6 +25,8 @@
 #include "api/dispatcher.h"
 #include "api/server.h"
 #include "core/pipeline.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "serve/frontend.h"
 #include "shard/shard_router.h"
 #include "testing_utils.h"
@@ -673,6 +677,78 @@ TEST(ApiDispatcherTest, RejectsOversizedBatchAndBadVertex) {
   EXPECT_EQ(decoded->id, -1);
   EXPECT_EQ(decoded->status.code(), StatusCode::kInvalidArgument);
   frontend->Stop();
+}
+
+/// What each request-path sink receives in every (metrics, trace) state:
+/// decode_us / request_us_<op> / encode_us record only with metrics on, one
+/// "request" event per decoded line only with tracing on. One HandleLine per
+/// op plus one undecodable line (decode only). The recorder is process-wide,
+/// so only request events stamped after the run starts are counted.
+TEST(ApiDispatcherTest, ObservabilitySinksMatchEachFlagState) {
+  const std::vector<Op> kOps = {Op::kIngest,  Op::kQueryAuthors,
+                                Op::kQueryPublications, Op::kFlush,
+                                Op::kStats,   Op::kMetrics,
+                                Op::kTrace};
+  for (bool metrics : {false, true}) {
+    for (bool trace : {false, true}) {
+      SCOPED_TRACE(std::string("metrics=") + (metrics ? "on" : "off") +
+                   " trace=" + (trace ? "on" : "off"));
+      core::IuadConfig cfg = FastConfig(1);
+      cfg.metrics_enabled = metrics;
+      cfg.trace_enabled = trace;
+      Fixture f = MakeFixture(64, 1, cfg);
+      auto frontend = MakeFrontend(&f, cfg);
+      Dispatcher::Options options;
+      options.metrics_enabled = metrics;
+      options.trace_enabled = trace;
+      Dispatcher dispatcher(frontend.get(), options);
+
+      const int64_t start_ns = obs::NowNs();
+      for (size_t k = 0; k < kOps.size(); ++k) {
+        Request request;
+        request.id = static_cast<int64_t>(k);
+        request.op = kOps[k];
+        request.ingest.papers = {f.stream[0]};
+        request.query_authors.name = f.stream[0].author_names[0];
+        request.query_publications.vertex = 0;
+        auto response = DecodeResponse(
+            dispatcher.HandleLine(EncodeRequest(request)));
+        ASSERT_TRUE(response.ok()) << response.status().ToString();
+        EXPECT_TRUE(response->status.ok()) << response->status.ToString();
+      }
+      dispatcher.HandleLine("{\"id\":");  // decoded only: no request/encode
+      const obs::RegistrySnapshot snapshot = frontend->Metrics()->Snapshot();
+      frontend->Stop();
+
+      const int64_t per_line = metrics ? 1 : 0;
+      const int64_t lines = static_cast<int64_t>(kOps.size());
+      std::map<std::string, int64_t> want_hist = {
+          {"decode_us", metrics ? lines + 1 : 0},
+          {"encode_us", metrics ? lines : 0}};
+      for (Op op : kOps) {
+        want_hist[std::string("request_us_") + OpName(op)] = per_line;
+      }
+      std::map<std::string, int64_t> got_hist;
+      for (const auto& h : snapshot.histograms) {
+        if (want_hist.count(h.name) > 0) got_hist[h.name] = h.count;
+      }
+      EXPECT_EQ(got_hist, want_hist);
+
+      std::vector<uint64_t> got_ops;  // kRequest a0 = Op value
+      for (const obs::TraceEvent& e : obs::FlightRecorder::Instance().Drain()) {
+        if (e.ns >= start_ns &&
+            e.id == static_cast<uint16_t>(obs::TraceEventId::kRequest)) {
+          got_ops.push_back(e.a0);
+        }
+      }
+      std::sort(got_ops.begin(), got_ops.end());
+      std::vector<uint64_t> want_ops;
+      if (trace) {
+        for (Op op : kOps) want_ops.push_back(static_cast<uint64_t>(op));
+      }
+      EXPECT_EQ(got_ops, want_ops);
+    }
+  }
 }
 
 // ---- TCP server -------------------------------------------------------------

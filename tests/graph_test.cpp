@@ -22,21 +22,28 @@ namespace {
 
 // --------------------------- UnionFind --------------------------------------
 
+/// Number of disjoint sets: ids that are their own representative.
+int NumSets(UnionFind* uf) {
+  int sets = 0;
+  for (int x = 0; x < uf->size(); ++x) sets += uf->Find(x) == x ? 1 : 0;
+  return sets;
+}
+
 TEST(UnionFindTest, SingletonsInitially) {
   UnionFind uf(4);
-  EXPECT_EQ(uf.num_sets(), 4);
-  EXPECT_FALSE(uf.Connected(0, 1));
-  EXPECT_EQ(uf.SetSize(2), 1);
+  EXPECT_EQ(NumSets(&uf), 4);
+  for (int x = 0; x < 4; ++x) EXPECT_EQ(uf.Find(x), x);
+  EXPECT_NE(uf.Find(0), uf.Find(1));
 }
 
 TEST(UnionFindTest, UnionConnects) {
   UnionFind uf(5);
   uf.Union(0, 1);
   uf.Union(1, 2);
-  EXPECT_TRUE(uf.Connected(0, 2));
-  EXPECT_FALSE(uf.Connected(0, 3));
-  EXPECT_EQ(uf.num_sets(), 3);
-  EXPECT_EQ(uf.SetSize(0), 3);
+  EXPECT_EQ(uf.Find(0), uf.Find(2));
+  EXPECT_NE(uf.Find(0), uf.Find(3));
+  EXPECT_NE(uf.Find(3), uf.Find(4));
+  EXPECT_EQ(NumSets(&uf), 3);
 }
 
 TEST(UnionFindTest, UnionIsIdempotent) {
@@ -44,15 +51,17 @@ TEST(UnionFindTest, UnionIsIdempotent) {
   const int r1 = uf.Union(0, 1);
   const int r2 = uf.Union(0, 1);
   EXPECT_EQ(r1, r2);
-  EXPECT_EQ(uf.num_sets(), 2);
+  EXPECT_EQ(uf.Find(0), r1);
+  EXPECT_EQ(uf.Find(1), r1);
+  EXPECT_EQ(NumSets(&uf), 2);
 }
 
 TEST(UnionFindTest, ResetRestoresSingletons) {
   UnionFind uf(3);
   uf.Union(0, 2);
   uf.Reset(3);
-  EXPECT_EQ(uf.num_sets(), 3);
-  EXPECT_FALSE(uf.Connected(0, 2));
+  EXPECT_EQ(NumSets(&uf), 3);
+  EXPECT_NE(uf.Find(0), uf.Find(2));
 }
 
 // --------------------------- CollabGraph ------------------------------------

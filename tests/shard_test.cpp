@@ -14,12 +14,15 @@
 #include <cstdint>
 #include <cstring>
 #include <future>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "core/incremental.h"
 #include "core/pipeline.h"
+#include "obs/metrics.h"
+#include "obs/trace.h"
 #include "shard/placement.h"
 #include "shard/shard_router.h"
 #include "testing_utils.h"
@@ -226,6 +229,107 @@ TEST(BlockPlacementTest, UnseenBlocksRouteThroughTheHashFallback) {
 }
 
 // --------------------------- ShardRouter ------------------------------------
+
+/// What each observability sink receives in every (metrics, trace) state:
+/// stage histograms record only with metrics on, flight-recorder events only
+/// with tracing on, and slow-commit exemplars whenever either is on (their
+/// stage stamps are the same clock reads). One shard, pipeline depth 1 and
+/// one paper in flight at a time make every count exact. The recorder is
+/// process-wide, so only events stamped after the run starts are counted.
+/// Defined first among the router tests: the recorder never recycles a
+/// thread's slot (kMaxThreads), and the tests below start more recording
+/// threads than that, after which new threads' events are dropped.
+TEST(ShardRouterTest, ObservabilitySinksMatchEachFlagState) {
+  constexpr int kPapers = 10;
+  constexpr int kRefreshEvery = 4;
+  constexpr int64_t kRefreshes = 1 + kPapers / kRefreshEvery;  // + ctor's
+  using obs::TraceEventId;
+  for (bool metrics : {false, true}) {
+    for (bool trace : {false, true}) {
+      SCOPED_TRACE(std::string("metrics=") + (metrics ? "on" : "off") +
+                   " trace=" + (trace ? "on" : "off"));
+      core::IuadConfig cfg = FastConfig();
+      cfg.num_shards = 1;
+      cfg.pipeline_depth = 1;
+      cfg.ingest_refresh_window = 1;
+      cfg.incremental_refresh_interval = kRefreshEvery;
+      cfg.slow_commit_ms = 1e-6;  // every commit is "slow"
+      cfg.metrics_enabled = metrics;
+      cfg.trace_enabled = trace;
+      Fixture f = MakeFixture(59, kPapers, cfg);
+      ASSERT_EQ(f.stream.size(), static_cast<size_t>(kPapers));
+
+      obs::FlightRecorder& recorder = obs::FlightRecorder::Instance();
+      const int64_t dropped_before = recorder.dropped();
+      const int64_t start_ns = obs::NowNs();
+      serve::ServiceStats stats;
+      obs::RegistrySnapshot snapshot;
+      {
+        ShardRouter router(&f.history, &f.result, cfg);
+        for (const auto& paper : f.stream) {
+          auto applied = router.Submit(paper).get();
+          ASSERT_TRUE(applied.ok()) << applied.status().ToString();
+        }
+        router.Drain();
+        stats = router.Stats();
+        snapshot = router.Metrics()->Snapshot();
+        router.Stop();
+      }
+      ASSERT_EQ(recorder.dropped(), dropped_before)
+          << "flight-recorder thread slots exhausted; counts are incomplete";
+
+      const int64_t per_paper = metrics ? kPapers : 0;
+      std::map<std::string, int64_t> want_hist = {
+          {"enqueue_wait_us", per_paper},
+          {"scatter_us", per_paper},
+          {"shard0_scatter_us", per_paper},
+          {"rescore_us", 0},  // depth 1: nothing is ever deferred
+          {"apply_us", per_paper},
+          {"commit_latency_us", per_paper},
+          {"publish_us", per_paper},
+          {"refresh_us", metrics ? kRefreshes : 0}};
+      std::map<std::string, int64_t> got_hist;
+      for (const auto& h : snapshot.histograms) {
+        if (want_hist.count(h.name) > 0) got_hist[h.name] = h.count;
+      }
+      EXPECT_EQ(got_hist, want_hist);
+
+      // Event id -> sorted a0 payloads, router events of this run only.
+      std::map<TraceEventId, std::vector<uint64_t>> got_events;
+      for (const obs::TraceEvent& e : recorder.Drain()) {
+        const auto id = static_cast<TraceEventId>(e.id);
+        if (e.ns < start_ns || id == TraceEventId::kRequest) continue;
+        got_events[id].push_back(e.a0);
+      }
+      for (auto& [id, a0s] : got_events) std::sort(a0s.begin(), a0s.end());
+      std::map<TraceEventId, std::vector<uint64_t>> want_events;
+      if (trace) {
+        std::vector<uint64_t> seqs(kPapers);
+        for (int i = 0; i < kPapers; ++i) seqs[i] = static_cast<uint64_t>(i);
+        for (TraceEventId id :
+             {TraceEventId::kPaperSubmit, TraceEventId::kWindowExtract,
+              TraceEventId::kPaperExtract, TraceEventId::kPaperScatter,
+              TraceEventId::kPaperApply, TraceEventId::kPaperPublish,
+              TraceEventId::kPaperCommit}) {
+          want_events[id] = seqs;
+        }
+        want_events[TraceEventId::kShardScatter] =
+            std::vector<uint64_t>(kPapers, 0);  // a0 = shard
+        want_events[TraceEventId::kRefresh] = {0, 4, 8};  // commit version
+      }
+      EXPECT_EQ(got_events, want_events);
+
+      const size_t want_exemplars =
+          (metrics || trace) ? static_cast<size_t>(cfg.trace_exemplars) : 0;
+      ASSERT_EQ(stats.slow_commits.size(), want_exemplars);
+      for (const auto& exemplar : stats.slow_commits) {
+        EXPECT_GT(exemplar.total_ns, 0);
+        EXPECT_EQ(exemplar.stages.size(), 5u);  // enqueue..apply + publish
+        EXPECT_TRUE(exemplar.deferrals.empty());
+      }
+    }
+  }
+}
 
 /// The subsystem acceptance property: 1-shard and 4-shard ingestion, with
 /// one and with several racing producers, are byte-identical to sequential

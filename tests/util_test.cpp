@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <optional>
 #include <regex>
 #include <set>
 #include <string>
@@ -120,6 +121,28 @@ TEST(StringsTest, FormatAndPad) {
   EXPECT_EQ(PadRight("long", 2), "long");
 }
 
+TEST(StringsTest, ParseNumberAcceptsWholeNumbers) {
+  EXPECT_EQ(ParseNumber<int>("12"), 12);
+  EXPECT_EQ(ParseNumber<int>("-3"), -3);
+  EXPECT_EQ(ParseNumber<int>("0"), 0);
+  EXPECT_EQ(ParseNumber<int64_t>("9000000000"), 9000000000LL);
+  EXPECT_EQ(ParseNumber<double>("0.5"), 0.5);
+  EXPECT_EQ(ParseNumber<double>("1e-6"), 1e-6);
+  EXPECT_EQ(ParseNumber<double>("-2"), -2.0);
+  EXPECT_EQ(ParseNumber<double>(".25"), 0.25);
+}
+
+TEST(StringsTest, ParseNumberRejectsAnythingElse) {
+  for (const char* bad : {"", "12x", "x12", "two", " 12", "12 ", "+12",
+                          "1.5", "0x10", "99999999999", "-"}) {
+    EXPECT_EQ(ParseNumber<int>(bad), std::nullopt) << "'" << bad << "'";
+  }
+  for (const char* bad : {"", "0.5s", "abc", " 1", "+1", "nan", "inf",
+                          "-inf", "1e999", "1,5", "."}) {
+    EXPECT_EQ(ParseNumber<double>(bad), std::nullopt) << "'" << bad << "'";
+  }
+}
+
 // --------------------------- RNG --------------------------------------------
 
 TEST(RngTest, DeterministicForSeed) {
@@ -185,22 +208,6 @@ TEST(RngTest, ShufflePreservesMultiset) {
   rng.Shuffle(&v);
   std::sort(v.begin(), v.end());
   EXPECT_EQ(v, sorted);
-}
-
-TEST(RngTest, WeightedIndexRespectsWeights) {
-  Rng rng(11);
-  std::vector<double> w{0.0, 1.0, 3.0};
-  int counts[3] = {0, 0, 0};
-  for (int i = 0; i < 8000; ++i) ++counts[rng.WeightedIndex(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(static_cast<double>(counts[2]) / counts[1], 3.0, 0.4);
-}
-
-TEST(RngTest, WeightedIndexDegenerate) {
-  Rng rng(12);
-  std::vector<double> all_zero{0.0, 0.0};
-  EXPECT_EQ(rng.WeightedIndex(all_zero), -1);
-  EXPECT_EQ(rng.WeightedIndex({}), -1);
 }
 
 TEST(ZipfSamplerTest, RankZeroMostFrequent) {
